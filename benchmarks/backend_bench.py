@@ -4,11 +4,13 @@ The backend is chosen at import time from CEUB_RATIONAL_BACKEND, so the
 comparison runs this script once per backend in a subprocess. Invoke with
 no arguments for the side-by-side table, or with --run to execute the
 workload in the current interpreter (that is what the subprocesses do).
+A backend whose module is not installed is skipped, with a note.
 
     python3 benchmarks/backend_bench.py
 """
 
 import argparse
+import importlib.util
 import os
 import subprocess
 import sys
@@ -69,13 +71,18 @@ def main() -> int:
         print(result["maxmin"])
         return 0
 
-    results = [run_child(name, args.rounds) for name in ("gmpy2", "fractions")]
+    results = []
+    for name in ("gmpy2", "fractions"):
+        if importlib.util.find_spec(name) is None:
+            print(f"skipping the {name} backend: module {name!r} is not installed")
+            continue
+        results.append(run_child(name, args.rounds))
     print(f"{args.rounds} generated instances per workload\n")
     print(f"{'backend':<12} {'support_pipeline':>18} {'maxmin_lp':>12}")
     for row in results:
         print(f"{row['backend']:<12} {row['pipeline']:>17.3f}s {row['maxmin']:>11.3f}s")
-    slow, fast = results[1], results[0]
-    if fast["pipeline"] > 0:
+    if len(results) == 2 and results[0]["pipeline"] > 0:
+        fast, slow = results
         print(f"\nfractions / gmpy2 pipeline ratio: {slow['pipeline'] / fast['pipeline']:.2f}x")
     return 0
 

@@ -12,7 +12,8 @@ solvers and generators used to exercise the construction.
 The pipeline: verify Pareto optimality (market), remove sharing-graph
 cycles without touching utilities (graphs), price each resulting tree
 from an anchor agent (pricing), and scale the trees against each other
-via an exact LP (scaling, simplex). Entry point: support_pipeline.
+by the least solution of their difference constraints, an exact
+multiplicative Bellman-Ford (scaling). Entry point: support_pipeline.
 """
 
 from .errors import (

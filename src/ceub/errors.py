@@ -43,12 +43,11 @@ class NotParetoOptimal(CeubError):
 
 
 class InfeasibleLP(NotParetoOptimal):
-    """Raised when the tree-multiplier program has no usable solution.
+    """Raised when no positive tree multipliers remove cross-tree envy.
 
-    For a cycle-free Pareto-optimal input the program is always feasible
-    with every multiplier strictly positive, so infeasibility (or an
-    optimum forcing some multiplier to zero) proves the input allocation
-    was not Pareto optimal; hence the subclassing."""
+    For a cycle-free Pareto-optimal input such multipliers always exist,
+    so a cycle of tree ratio pairs with product > 1 proves the input
+    allocation was not Pareto optimal; hence the subclassing."""
 
 
 class SameTree(CeubError):

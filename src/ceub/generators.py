@@ -5,9 +5,10 @@ rather than a library RNG, so a seed reproduces the same stream on any
 platform or language. Two allocation modes exist because they stress
 different things:
 
-* mode "a": vertices of a positively weighted welfare LP. Pareto
-  optimal by construction, but vertices are mostly integral, so the
-  sharing graph is sparse and usually already a forest.
+* mode "a": maximizers of a positively weighted welfare sum, each item
+  going wholly to the agent with the largest weighted value (lowest
+  index on ties). Pareto optimal by construction and integral, so the
+  sharing graph is a forest of one-agent trees.
 * mode "b": a max-min solution followed by a few bounded
   utility-neutral four-cycle trades. The trades deliberately create
   shared items and graph cycles while preserving Pareto optimality,
@@ -29,14 +30,20 @@ from dataclasses import dataclass, field
 from .market import Allocation, Instance, make_allocation, validate_instance
 from .maxmin import maxmin_lp
 from .rationals import ONE, ZERO, rat
-from .simplex import LESS, OPTIMAL, make_problem, solve_lp
 
 log = logging.getLogger(__name__)
 
 _MASK = (1 << 64) - 1
 
-# Integers 1..20 plus halves.
+
+def _check_grid(grid) -> None:
+    if not grid or any(v <= 0 for v in grid):
+        raise ValueError("value grid must be nonempty and strictly positive")
+
+
+# Integers 1..20 plus halves; checked once here, not per GenConfig.
 DEFAULT_GRID = tuple(rat(k, 2) for k in range(1, 41))
+_check_grid(DEFAULT_GRID)
 
 
 class SplitMix64:
@@ -81,8 +88,8 @@ class GenConfig:
     def __post_init__(self):
         if self.agents < 1 or self.items < 1:
             raise ValueError("agents and items must be at least 1")
-        if not self.value_grid or any(v <= 0 for v in self.value_grid):
-            raise ValueError("value grid must be nonempty and strictly positive")
+        if self.value_grid is not DEFAULT_GRID:
+            _check_grid(self.value_grid)
 
 
 def gen_instance(cfg: GenConfig) -> Instance:
@@ -122,10 +129,10 @@ def gen_structured_instance(cfg: GenConfig) -> Instance:
 def gen_pareto_allocation(inst: Instance, seed: int, mode: str = "a") -> Allocation:
     """A Pareto-optimal, fully allocated allocation, deterministic in seed.
 
-    Mode "a" maximizes a positively weighted welfare sum; any optimum
-    of such a program is Pareto optimal, and positive weights force
-    full allocation. Mode "b" starts from the max-min solution (Pareto
-    optimal with equal utilities) and layers on up to three
+    Mode "a" maximizes a positively weighted welfare sum item by item;
+    any maximizer of such a sum is Pareto optimal, and positive weights
+    force full allocation. Mode "b" starts from the max-min solution
+    (Pareto optimal with equal utilities) and layers on up to three
     utility-neutral trades where the instance admits them.
     """
     if mode == "a":
@@ -136,24 +143,18 @@ def gen_pareto_allocation(inst: Instance, seed: int, mode: str = "a") -> Allocat
 
 
 def _welfare_vertex(inst: Instance, seed: int) -> Allocation:
+    # The welfare LP has one supply row per item, so it splits into one
+    # problem per item: the item goes wholly to a maximizer of
+    # weights[i] * v[i][j]. Among tied maximizers this is the lowest
+    # index, the vertex Bland's rule reaches from the all-slack basis.
     rng = SplitMix64(seed)
     n, m = inst.agent_count, inst.item_count
     weights = [rng.choice(DEFAULT_GRID) for _ in range(n)]
-    objective = [ZERO] * (n * m)
-    for i in range(n):
-        for j in range(m):
-            objective[i * m + j] = weights[i] * inst.values[i][j]
-    rows = []
+    rows = [[ZERO] * m for _ in range(n)]
     for j in range(m):
-        coeffs = [ZERO] * (n * m)
-        for i in range(n):
-            coeffs[i * m + j] = ONE
-        rows.append((coeffs, LESS, ONE))
-    solution = solve_lp(make_problem(objective, rows))
-    assert solution.status == OPTIMAL
-    return make_allocation(
-        [[solution.x[i * m + j] for j in range(m)] for i in range(n)]
-    )
+        winner = max(range(n), key=lambda i: weights[i] * inst.values[i][j])
+        rows[winner][j] = ONE
+    return make_allocation(rows)
 
 
 def _perturbed_maxmin(inst: Instance, seed: int) -> Allocation:

@@ -258,6 +258,42 @@ def verify_equilibrium(inst: Instance, alloc: Allocation, prices, budgets) -> Eq
 # ----------------------------------------------------------------------
 
 
+def max_product_paths(size: int, edges) -> tuple:
+    """Multiplicative Bellman-Ford with every vertex starting at 1.
+
+    Edges are (u, w, weight) with positive exact weights over vertices
+    0..size-1. Returns (dist, None), where dist is the least vector
+    with dist >= 1 and dist[w] >= dist[u] * weight on every edge, or
+    (None, cycle) when a directed cycle has weight product > 1; cycle
+    lists its vertices in edge order u0 -> u1 -> ... -> u0.
+    """
+    dist = [ONE] * size
+    pred = [-1] * size
+    touched = -1
+    for _ in range(size):
+        touched = -1
+        for u, w, weight in edges:
+            cand = dist[u] * weight
+            if cand > dist[w]:
+                dist[w] = cand
+                pred[w] = u
+                touched = w
+        if touched < 0:
+            return dist, None
+
+    # Still relaxing after |V| passes: walk predecessors into the cycle.
+    v = touched
+    for _ in range(size):
+        v = pred[v]
+    cycle = [v]
+    cur = pred[v]
+    while cur != v:
+        cycle.append(cur)
+        cur = pred[cur]
+    cycle.reverse()
+    return None, cycle
+
+
 def verify_pareto_optimal(inst: Instance, alloc: Allocation) -> ParetoVerdict:
     """Pass, or produce an improving-cycle certificate / an unallocated item."""
     _check_dims(inst, alloc)
@@ -276,31 +312,9 @@ def verify_pareto_optimal(inst: Instance, alloc: Allocation) -> ParetoVerdict:
             if alloc.x[i][j] != 0:
                 edges.append((n + j, i, ONE / inst.values[i][j]))
 
-    size = n + m
-    dist = [ONE] * size
-    pred = [-1] * size
-    touched = -1
-    for _ in range(size):
-        touched = -1
-        for u, w, weight in edges:
-            cand = dist[u] * weight
-            if cand > dist[w]:
-                dist[w] = cand
-                pred[w] = u
-                touched = w
-        if touched < 0:
-            return ParetoVerdict(ok=True)
-
-    # Still relaxing after |V| passes: walk predecessors into the cycle.
-    v = touched
-    for _ in range(size):
-        v = pred[v]
-    cycle = [v]
-    cur = pred[v]
-    while cur != v:
-        cycle.append(cur)
-        cur = pred[cur]
-    cycle.reverse()  # now in edge order u0 -> u1 -> ... -> u0
+    _, cycle = max_product_paths(n + m, edges)
+    if cycle is None:
+        return ParetoVerdict(ok=True)
 
     agent_positions = [k for k, vertex in enumerate(cycle) if vertex < n]
     if not agent_positions:

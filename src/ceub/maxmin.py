@@ -82,9 +82,8 @@ def maxmin_lp(inst: Instance) -> MaxMinResult:
     Exact optima of the LP arrive with every utility equal to the
     optimum and every item fully allocated: any slack or any agent
     above the minimum could be redistributed to raise the minimum, so
-    neither survives at an optimum. The settling pass spreads residual
-    slack anyway and then verifies both facts, treating a violation as
-    a solver bug rather than patching it.
+    neither survives at an optimum. The settling pass verifies both
+    facts, treating a violation as a solver bug rather than patching it.
     """
     n, m = inst.agent_count, inst.item_count
     lam_var = n * m
@@ -114,10 +113,9 @@ def maxmin_lp(inst: Instance) -> MaxMinResult:
 def _settle(inst: Instance, shares, lam) -> Allocation:
     n, m = inst.agent_count, inst.item_count
     for j in range(m):
-        slack = ONE - sum((shares[i][j] for i in range(n)), ZERO)
-        if slack != 0:
-            for i in range(n):
-                shares[i][j] += slack / n
+        total = sum((shares[i][j] for i in range(n)), ZERO)
+        if total != 1:
+            raise InternalVerificationFailed(f"item {j} has column sum {total}, not 1")
     alloc = make_allocation(shares)
     for i in range(n):
         if utility(inst, alloc, i) != lam:

@@ -19,7 +19,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import NotAForest, OrphanItem
+from .errors import InternalVerificationFailed, NotAForest, OrphanItem
 from .graphs import AllocationGraph, build_graph
 from .market import Allocation, Instance, _check_dims, bundle_cost, utility
 from .rationals import Rational
@@ -168,7 +168,8 @@ def price_forest(inst: Instance, alloc: Allocation) -> tuple:
             continue
         for j, p in price_tree(inst, g, decomp, tree).items():
             prices[j] = p
-    assert all(p is not None for p in prices)
+    if None in prices:
+        raise InternalVerificationFailed(f"item {prices.index(None)} was left unpriced")
     budgets = tree_budgets(alloc, prices)
     utilities = tuple(utility(inst, alloc, i) for i in range(inst.agent_count))
     log.debug("priced %d trees, roots %s", decomp.tree_count, decomp.roots)

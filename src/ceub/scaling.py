@@ -8,13 +8,15 @@ to finding one factor per tree killing all cross-tree envy.
 
 Two routes to the factors live here side by side:
 
-* a linear program over the simplex (the constructive path), and
+* a closed form (the constructive path): the least solution of the
+  difference constraints between trees, by multiplicative
+  Bellman-Ford, and
 * the per-pair GAIN quantity with its fixed-point map F (the
   verification oracle: at a correct alpha every gain is zero and
   F(alpha) = alpha exactly).
 
-The LP computes; GAIN checks. Both are kept because agreeing answers
-from independent routes is the whole point of exact arithmetic.
+The closed form computes; GAIN checks. Both are kept because agreeing
+answers from independent routes is the whole point of exact arithmetic.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from .market import (
     Instance,
     bundle_cost,
     is_in_demand_set,
+    max_product_paths,
     verify_equilibrium,
     verify_pareto_optimal,
 )
 from .pricing import ForestDecomposition, TreePricing, price_forest
 from .rationals import ONE, ZERO, Rational
-from .simplex import EQUAL, GREATER, INFEASIBLE, OPTIMAL, make_problem, solve_lp
 
 log = logging.getLogger(__name__)
 
@@ -196,23 +198,25 @@ def fixed_point_map(state: GainState, alpha) -> tuple:
 
 
 def solve_multiplier_lp(state: GainState):
-    """Scaling factors via the LP: maximize the smallest multiplier.
+    """Scaling factors maximizing the smallest multiplier lambda.
 
-    Variables are one alpha per funded tree plus the floor lambda;
-    constraints force sum(alpha) = 1, lambda <= alpha_T <= 1, and for
-    every cross-tree agent-item pair the no-envy inequality
-    (u_i / b_i) * alpha_T(j) >= (v_ij / p_j) * alpha_T(i). Pairs sharing
-    the same ordered tree pair collapse to their single tightest ratio.
+    Subject to sum(alpha) = 1, alpha_T >= lambda, and for every
+    cross-tree agent-item pair the no-envy inequality
+    (u_i / b_i) * alpha_T(j) >= (v_ij / p_j) * alpha_T(i), collapsed to
+    the tightest ratio r_st per ordered tree pair. Dividing by lambda
+    gives: minimize sum(d) subject to d >= 1 and d_t >= r_st * d_s.
+    That set is closed under componentwise min, so its least element d
+    (exact multiplicative Bellman-Ford) is the unique optimum, with
+    alpha = d / sum(d) and lambda = 1 / sum(d).
 
     Returns (alpha, lambda) with alpha over all trees (zeros at
-    degenerate ones). Infeasibility, or an optimum pinned at lambda = 0,
-    certifies the allocation was not Pareto optimal to begin with.
+    degenerate ones). A cycle of ratio pairs with product > 1 admits
+    no positive scaling and certifies that the allocation was not
+    Pareto optimal to begin with (InfeasibleLP).
     """
     decomp = state.decomp
-    scaled = [t for t in range(decomp.tree_count) if not decomp.is_degenerate(t)]
-    pos = {tree: k for k, tree in enumerate(scaled)}
-    count = len(scaled)
-    if count == 0:
+    funded = [t for t in range(decomp.tree_count) if not decomp.is_degenerate(t)]
+    if not funded:
         # No items at all is impossible: instances are nonempty and
         # allocations fully allocated, so some tree owns an item.
         raise InternalVerificationFailed("no funded trees to scale")
@@ -233,43 +237,22 @@ def solve_multiplier_lp(state: GainState):
             if key not in ratios or r > ratios[key]:
                 ratios[key] = r
 
-    lam_var = count
-    rows = []
-    for (s, t), r in sorted(ratios.items()):
-        coeffs = [ZERO] * (count + 1)
-        coeffs[pos[t]] = ONE
-        coeffs[pos[s]] = -r
-        rows.append((coeffs, GREATER, ZERO))
-    rows.append(([ONE] * count + [ZERO], EQUAL, ONE))
-    for k in range(count):
-        coeffs = [ZERO] * (count + 1)
-        coeffs[k] = ONE
-        coeffs[lam_var] = -ONE
-        rows.append((coeffs, GREATER, ZERO))
-
-    problem = make_problem(
-        objective=[ZERO] * count + [ONE],
-        rows=rows,
-        upper=[ONE] * (count + 1),
-    )
-    solution = solve_lp(problem)
-    if solution.status == INFEASIBLE:
+    # Degenerate trees own no items and fund no agent, so they touch no
+    # ratio pair and stay out of the sum.
+    d, cycle = max_product_paths(decomp.tree_count, [(s, t, r) for (s, t), r in ratios.items()])
+    if cycle is not None:
         raise InfeasibleLP(
-            "no positive per-tree scaling removes cross-tree envy; "
+            f"ratio pairs around trees {cycle} multiply to more than 1, so no "
+            "positive per-tree scaling removes cross-tree envy; "
             "the allocation is not Pareto optimal"
         )
-    if solution.status != OPTIMAL:
-        raise InternalVerificationFailed(f"multiplier program {solution.status}")
-    lam = solution.x[lam_var]
-    if lam <= 0:
-        raise InfeasibleLP(
-            "every feasible scaling pins some tree at zero; "
-            "the allocation is not Pareto optimal"
-        )
+    total = sum((d[t] for t in funded), ZERO)
     alpha = [ZERO] * decomp.tree_count
-    for tree, k in pos.items():
-        alpha[tree] = solution.x[k]
-    log.debug("multiplier LP: %d trees, %d pair constraints, lambda=%s", count, len(ratios), lam)
+    for t in funded:
+        alpha[t] = d[t] / total
+    lam = ONE / total
+    log.debug("multipliers: %d trees, %d pair constraints, lambda=%s",
+              len(funded), len(ratios), lam)
     return tuple(alpha), lam
 
 
@@ -340,8 +323,8 @@ def support_pipeline(inst: Instance, y: Allocation) -> Equilibrium:
 
     Composes the whole construction: verify Pareto optimality, remove
     graph cycles without touching utilities, price each tree from its
-    root, scale trees by the multiplier LP, and verify that the result
-    supports both the cycle-free transform and y itself.
+    root, scale trees by the closed-form multipliers, and verify that
+    the result supports both the cycle-free transform and y itself.
 
     Raises NotParetoOptimal (directly from the verifier, or as
     InfeasibleLP from the scaling step) if y is not supportable.

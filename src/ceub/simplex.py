@@ -1,8 +1,9 @@
 """Exact linear programming over rationals.
 
-A small two-phase primal simplex used by the tree-multiplier program,
-the max-min program, the demand-oracle cross-check, and the allocation
-generator. Everything is exact: the tableau holds Rationals, pivots are
+A small two-phase primal simplex. In the package it serves only the
+max-min program; the test suite also uses it for its LP oracles (the
+multiplier and welfare programs, the demand-oracle cross-check).
+Everything is exact: the tableau holds Rationals, pivots are
 exact divisions, and optimality/infeasibility/unboundedness are decided
 by exact sign tests, so there are no tolerances anywhere.
 

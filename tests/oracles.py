@@ -4,13 +4,17 @@ Deliberately different algorithms from the code under test: the LP
 oracle enumerates hyperplane intersections instead of pivoting, the
 domination oracle searches a refined allocation grid instead of the
 exchange graph, and the trade executor replays a certificate literally.
+The multiplier and welfare oracles solve, with the exact simplex, the
+linear programs whose optima the package computes in closed form.
 No test_ prefix, so pytest does not collect this module.
 """
 
 from itertools import combinations, product
 
+from ceub.errors import InfeasibleLP, InternalVerificationFailed
+from ceub.generators import DEFAULT_GRID, SplitMix64
 from ceub.rationals import ONE, ZERO, rat
-from ceub.simplex import EQUAL, GREATER, LESS
+from ceub.simplex import EQUAL, GREATER, INFEASIBLE, LESS, OPTIMAL, make_problem, solve_lp
 from ceub.market import Allocation, make_allocation
 
 
@@ -148,3 +152,85 @@ def execute_certificate(inst, alloc: Allocation, cert) -> Allocation:
         rows[cert.agents[t]][cert.items[t]] += eps
         rows[cert.agents[(t + 1) % k]][cert.items[t]] -= eps
     return make_allocation(rows)
+
+
+def multiplier_lp(state):
+    """Cross-tree multipliers by the LP: maximize the smallest multiplier.
+
+    Variables are one alpha per funded tree plus the floor lambda;
+    constraints force sum(alpha) = 1, lambda <= alpha_T <= 1, and for
+    every cross-tree agent-item pair the no-envy inequality
+    (u_i / b_i) * alpha_T(j) >= (v_ij / p_j) * alpha_T(i), collapsed to
+    the tightest ratio per ordered tree pair. Returns (alpha, lambda)
+    with zeros at degenerate trees; raises InfeasibleLP when the program
+    is infeasible or pins lambda at zero.
+    """
+    decomp = state.decomp
+    scaled = [t for t in range(decomp.tree_count) if not decomp.is_degenerate(t)]
+    pos = {tree: k for k, tree in enumerate(scaled)}
+    count = len(scaled)
+    if count == 0:
+        raise InternalVerificationFailed("no funded trees to scale")
+
+    prices, budgets, utils = state.pricing.prices, state.pricing.budgets, state.pricing.utilities
+    values = state.inst.values
+    ratios: dict = {}
+    for i in range(state.inst.agent_count):
+        if budgets[i] == 0:
+            continue
+        s = decomp.tree_of_agent[i]
+        for j in range(state.inst.item_count):
+            t = decomp.tree_of_item[j]
+            if t == s:
+                continue
+            r = values[i][j] * budgets[i] / (prices[j] * utils[i])
+            if (s, t) not in ratios or r > ratios[(s, t)]:
+                ratios[(s, t)] = r
+
+    lam_var = count
+    rows = []
+    for (s, t), r in sorted(ratios.items()):
+        coeffs = [ZERO] * (count + 1)
+        coeffs[pos[t]] = ONE
+        coeffs[pos[s]] = -r
+        rows.append((coeffs, GREATER, ZERO))
+    rows.append(([ONE] * count + [ZERO], EQUAL, ONE))
+    for k in range(count):
+        coeffs = [ZERO] * (count + 1)
+        coeffs[k] = ONE
+        coeffs[lam_var] = -ONE
+        rows.append((coeffs, GREATER, ZERO))
+
+    solution = solve_lp(
+        make_problem(objective=[ZERO] * count + [ONE], rows=rows, upper=[ONE] * (count + 1))
+    )
+    if solution.status == INFEASIBLE:
+        raise InfeasibleLP("multiplier program infeasible")
+    if solution.status != OPTIMAL:
+        raise InternalVerificationFailed(f"multiplier program {solution.status}")
+    lam = solution.x[lam_var]
+    if lam <= 0:
+        raise InfeasibleLP("every feasible scaling pins some tree at zero")
+    alpha = [ZERO] * decomp.tree_count
+    for tree, k in pos.items():
+        alpha[tree] = solution.x[k]
+    return tuple(alpha), lam
+
+
+def welfare_lp_allocation(inst, seed: int) -> Allocation:
+    """Mode-"a" allocation by the welfare LP: the vertex Bland's rule
+    returns for max sum_ij w_i * v_ij * x_ij s.t. column sums <= 1, with
+    the weights drawn from the seed as the generator draws them."""
+    rng = SplitMix64(seed)
+    n, m = inst.agent_count, inst.item_count
+    weights = [rng.choice(DEFAULT_GRID) for _ in range(n)]
+    objective = [weights[i] * inst.values[i][j] for i in range(n) for j in range(m)]
+    rows = []
+    for j in range(m):
+        coeffs = [ZERO] * (n * m)
+        for i in range(n):
+            coeffs[i * m + j] = ONE
+        rows.append((coeffs, LESS, ONE))
+    solution = solve_lp(make_problem(objective, rows))
+    assert solution.status == OPTIMAL
+    return make_allocation([[solution.x[i * m + j] for j in range(m)] for i in range(n)])
