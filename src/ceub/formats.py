@@ -87,6 +87,8 @@ def _decode(text: str, schema: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise SchemaError("JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaError("document root must be an object")
     if doc.get("schema") != schema:
@@ -95,8 +97,10 @@ def _decode(text: str, schema: str) -> dict:
 
 
 def _counts(doc: dict) -> tuple:
+    # JSON true/false load as bool, a subclass of int: count and index
+    # fields test the exact type so that neither passes for 1 or 0.
     for key in ("agents", "items"):
-        if not isinstance(doc.get(key), int) or doc[key] < 1:
+        if type(doc.get(key)) is not int or doc[key] < 1:
             raise SchemaError("expected a positive integer", key)
     return doc["agents"], doc["items"]
 
@@ -183,7 +187,7 @@ def _parse_tree_map(node, path: str, length: int, tree_count: int) -> tuple:
     if not isinstance(node, list) or len(node) != length:
         raise SchemaError(f"expected a list of {length} tree ids", path)
     for k, t in enumerate(node):
-        if not isinstance(t, int) or not 0 <= t < tree_count:
+        if type(t) is not int or not 0 <= t < tree_count:
             raise SchemaError(f"tree id out of range 0..{tree_count - 1}", f"{path}[{k}]")
     return tuple(node)
 
@@ -211,7 +215,8 @@ def load_equilibrium(text: str) -> EquilibriumDoc:
     reports = []
     for k, row in enumerate(ver["agents"]):
         path = f"verification.agents[{k}]"
-        if not isinstance(row, dict) or row.get("agent") != k:
+        agent = row.get("agent") if isinstance(row, dict) else None
+        if type(agent) is not int or agent != k:
             raise SchemaError(f"expected report for agent {k}", path)
         if not isinstance(row.get("in_demand_set"), bool):
             raise SchemaError("expected a boolean", f"{path}.in_demand_set")

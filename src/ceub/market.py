@@ -131,7 +131,7 @@ def validate_instance(raw_valuations) -> Instance:
         if len(row) != width:
             raise DimensionMismatch(f"valuation row {i} has {len(row)} entries, expected {width}")
         for j, v in enumerate(row):
-            if v <= 0:
+            if v.numerator <= 0:
                 raise NonPositiveValuation(i, j, v)
     return Instance(tuple(rows))
 

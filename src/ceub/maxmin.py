@@ -8,8 +8,8 @@ max-min solutions a convenient source of interior supportable points.
 
 Three solvers:
 
-* maxmin_lp: the LP max W s.t. W <= u_i(x), column sums <= 1 -- works
-  for any shape, exact.
+* maxmin_lp: the LP max W s.t. W - u_i(x) <= 0, column sums <= 1 --
+  works for any shape, exact.
 * maxmin_two_agents: n = 2, sort items by relative preference and split
   one "median" item; O(m log m), also emits supporting prices/budgets.
 * maxmin_two_items: m = 2, sort agents by relative preference and
@@ -32,7 +32,7 @@ from .market import (
     verify_pareto_optimal,
 )
 from .rationals import ONE, ZERO, Rational
-from .simplex import GREATER, LESS, OPTIMAL, make_problem, solve_lp
+from .simplex import LESS, OPTIMAL, make_problem, solve_lp
 
 log = logging.getLogger(__name__)
 
@@ -79,6 +79,9 @@ class MaxMinResult:
 def maxmin_lp(inst: Instance) -> MaxMinResult:
     """Max-min allocation for any instance shape, via the exact LP.
 
+    Each agent row reads lambda - sum_j v_ij x_ij <= 0, so the origin
+    with every slack basic is feasible and the simplex needs no phase 1.
+
     Exact optima of the LP arrive with every utility equal to the
     optimum and every item fully allocated: any slack or any agent
     above the minimum could be redistributed to raise the minimum, so
@@ -92,9 +95,9 @@ def maxmin_lp(inst: Instance) -> MaxMinResult:
     for i in range(n):
         coeffs = [ZERO] * (lam_var + 1)
         for j in range(m):
-            coeffs[i * m + j] = inst.values[i][j]
-        coeffs[lam_var] = -ONE
-        rows.append((coeffs, GREATER, ZERO))
+            coeffs[i * m + j] = -inst.values[i][j]
+        coeffs[lam_var] = ONE
+        rows.append((coeffs, LESS, ZERO))
     for j in range(m):
         coeffs = [ZERO] * (lam_var + 1)
         for i in range(n):
@@ -106,7 +109,10 @@ def maxmin_lp(inst: Instance) -> MaxMinResult:
     lam = solution.x[lam_var]
     shares = [[solution.x[i * m + j] for j in range(m)] for i in range(n)]
     alloc = _settle(inst, shares, lam)
-    log.debug("max-min LP on %dx%d: lambda=%s", n, m, lam)
+    log.info(
+        "max-min LP %dx%d: %d rows, %d columns, pivots %d+%d, lambda=%s",
+        n, m, len(rows), len(objective), *solution.pivots, lam,
+    )
     return MaxMinResult(alloc, lam)
 
 

@@ -4,10 +4,7 @@ Everything in this package computes over exact rationals; floats are
 rejected at every boundary. Two interchangeable backends provide the
 number type:
 
-* ``gmpy2.mpq`` -- GMP-backed, selected by default when gmpy2 imports;
-  roughly an order of magnitude faster on the small fractions this
-  pipeline churns through, and the whole hot path is rational
-  arithmetic, so the backend choice is the performance knob.
+* ``gmpy2.mpq`` -- GMP-backed, selected by default when gmpy2 imports.
 * ``fractions.Fraction`` -- stdlib fallback with identical semantics.
 
 Both types print the same canonical ``num/den`` strings, hash and
@@ -15,7 +12,9 @@ compare identically, and mix freely with ints, so the rest of the
 package never needs to know which one is active. Set the environment
 variable ``CEUB_RATIONAL_BACKEND`` to ``gmpy2`` or ``fractions`` to
 force a choice (``auto`` is the default); selection happens once at
-import. ``benchmarks/backend_bench.py`` compares the two.
+import, so ``CEUB_RATIONAL_BACKEND=... python3 perfbench/run.py``
+compares the two on the benchmark workloads. The simplex pivots on
+Python ints whichever backend is active.
 """
 
 import os
@@ -83,6 +82,8 @@ def format_rational(value) -> str:
 def rat(value, den=None):
     """Coerce to the active Rational type. Ints, literal strings, and
     rationals from either backend are accepted; floats never are."""
+    if type(value) is Rational and den is None:
+        return value
     if den is not None:
         if isinstance(value, bool) or isinstance(den, bool):
             raise TypeError("bool is not a rational component")

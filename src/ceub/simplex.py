@@ -3,9 +3,18 @@
 A small two-phase primal simplex. In the package it serves only the
 max-min program; the test suite also uses it for its LP oracles (the
 multiplier and welfare programs, the demand-oracle cross-check).
-Everything is exact: the tableau holds Rationals, pivots are
-exact divisions, and optimality/infeasibility/unboundedness are decided
-by exact sign tests, so there are no tolerances anywhere.
+Everything is exact, and optimality/infeasibility/unboundedness are
+decided by exact sign tests, so there are no tolerances anywhere.
+
+The tableau holds Python ints, fraction-free in the manner of Edmonds
+(1967) and Bareiss (1968): each row is its rational row times some
+positive factor, divided by the gcd of its entries, and it reads back
+as rationals after division by its entry in the basic column. Pivots
+depend only on signs and on ratios within a row, and neither depends
+on the factor, so the pivot sequence is the one the Rational tableau
+would take (tests/oracles.py keeps that tableau as fraction_solve_lp).
+Rationals appear only on entry, where rows are scaled to ints, and on
+exit, where x is read off.
 
 Conventions
 -----------
@@ -19,6 +28,7 @@ Conventions
 * Phase 1 maximizes minus the sum of artificials; a negative optimum
   means infeasible, otherwise artificials are pivoted out (or their rows
   dropped as redundant) before phase 2 optimizes the real objective.
+  A problem without artificials starts feasible and skips phase 1.
 * Pivoting follows Bland's rule -- entering variable is the lowest
   index with positive reduced cost, leaving row breaks ratio ties by
   lowest basic variable index -- which guarantees termination without
@@ -27,13 +37,11 @@ Conventions
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .errors import MalformedProblem
 from .rationals import ONE, ZERO, Rational, rat
-
-log = logging.getLogger(__name__)
 
 LESS = "<="
 EQUAL = "="
@@ -64,6 +72,7 @@ class LpSolution:
     status: str
     x: tuple | None
     objective_value: Rational | None
+    pivots: tuple = (0, 0)  # phase-1 and phase-2 pivot counts
 
 
 def make_problem(objective, rows, lower=None, upper=None) -> LpProblem:
@@ -108,11 +117,10 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
     # Shift variables to x' = x - lower >= 0 and collect working rows.
     # Upper bounds become plain rows in the shifted space.
+    shifts = [(j, low) for j, low in enumerate(problem.lower) if low != 0]
     work = []
     for coeffs, relation, rhs in problem.rows:
-        shifted = rhs - sum(
-            (c * problem.lower[j] for j, c in enumerate(coeffs) if c != 0), ZERO
-        )
+        shifted = rhs - sum((coeffs[j] * low for j, low in shifts), ZERO)
         work.append([list(coeffs), relation, shifted])
     for j, bound in enumerate(problem.upper):
         if bound is None:
@@ -143,15 +151,18 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             col += 1
     total = col
 
-    # Tableau rows carry the rhs in the final position.
+    # Tableau rows carry the rhs in the final position. Each is scaled
+    # by the lcm of its denominators, so the slack or artificial column
+    # holds that lcm where the rational tableau holds 1.
     tableau = []
     basis = []
     for r, (coeffs, relation, rhs) in enumerate(work):
-        row = coeffs + [ZERO] * (total - n) + [rhs]
+        ints, scale = _integral(coeffs + [rhs])
+        row = ints[:n] + [0] * (total - n) + ints[n:]
         if slack_of_row[r] is not None:
-            row[slack_of_row[r]] = ONE if relation == LESS else -ONE
+            row[slack_of_row[r]] = scale if relation == LESS else -scale
         if art_of_row[r] is not None:
-            row[art_of_row[r]] = ONE
+            row[art_of_row[r]] = scale
         tableau.append(row)
         basis.append(art_of_row[r] if art_of_row[r] is not None else slack_of_row[r])
 
@@ -160,59 +171,61 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     # the objective row starts as the sum of their rows (this zeroes the
     # basic columns at once).
     # ------------------------------------------------------------------
+    phase1 = 0
     if art_start < total:
-        obj = [ZERO] * (total + 1)
-        for r in range(m):
-            if art_of_row[r] is not None:
-                row = tableau[r]
-                for k in range(total + 1):
-                    if row[k] != 0:
-                        obj[k] += row[k]
+        arts = [r for r in range(m) if art_of_row[r] is not None]
+        common = lcm(*(tableau[r][art_of_row[r]] for r in arts))
+        obj = [0] * (total + 1)
+        for r in arts:
+            weight = common // tableau[r][art_of_row[r]]
+            obj = [o + weight * v for o, v in zip(obj, tableau[r])]
         for a in range(art_start, total):
-            obj[a] = ZERO
-        status = _iterate(tableau, basis, obj, total, allow=total)
+            obj[a] = 0
+        status, phase1 = _iterate(tableau, basis, obj, total, allow=total)
         if status == UNBOUNDED:  # cannot happen: phase-1 objective is bounded by 0
             raise MalformedProblem("phase-1 objective unbounded; solver invariant broken")
-        infeasibility = sum(
-            (tableau[r][total] for r in range(len(basis)) if basis[r] >= art_start), ZERO
-        )
-        if infeasibility != 0:
-            return LpSolution(INFEASIBLE, None, None)
+        # Basic levels are nonnegative, so their sum is zero only if each is.
+        if any(tableau[r][total] != 0 for r in range(len(basis)) if basis[r] >= art_start):
+            return LpSolution(INFEASIBLE, None, None, (phase1, 0))
         _expel_artificials(tableau, basis, art_start, total)
 
     # ------------------------------------------------------------------
     # Phase 2: the real objective, reduced against the current basis.
     # Artificial columns are dead; they never re-enter.
     # ------------------------------------------------------------------
-    obj = [ZERO] * (total + 1)
-    for j, c in enumerate(problem.objective):
-        obj[j] = c
+    ints, _ = _integral(problem.objective)
+    obj = ints + [0] * (total + 1 - n)
     for r, bv in enumerate(basis):
-        coef = obj[bv]
-        if coef != 0:
-            row = tableau[r]
-            for k in range(total + 1):
-                if row[k] != 0:
-                    obj[k] -= coef * row[k]
-    status = _iterate(tableau, basis, obj, total, allow=art_start)
+        if obj[bv] != 0:
+            obj = _eliminate(obj, tableau[r], bv)
+    status, phase2 = _iterate(tableau, basis, obj, total, allow=art_start)
     if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED, None, None)
+        return LpSolution(UNBOUNDED, None, None, (phase1, phase2))
 
     shifted = [ZERO] * total
     for r, bv in enumerate(basis):
-        shifted[bv] = tableau[r][total]
+        shifted[bv] = Rational(tableau[r][total], tableau[r][bv])
     x = tuple(shifted[j] + problem.lower[j] for j in range(n))
     value = sum((c * x[j] for j, c in enumerate(problem.objective) if c != 0), ZERO)
-    return LpSolution(OPTIMAL, x, value)
+    return LpSolution(OPTIMAL, x, value, (phase1, phase2))
+
+
+def _integral(values):
+    """A rational vector scaled by the lcm of its denominators: the
+    integer vector and the scale."""
+    scale = lcm(*(int(v.denominator) for v in values))
+    return [int(v.numerator) * (scale // int(v.denominator)) for v in values], scale
 
 
 def _iterate(tableau, basis, obj, total, allow):
-    """Run simplex pivots until optimal or unbounded.
+    """Run simplex pivots until optimal or unbounded; (status, pivots).
 
     `allow` bounds the entering-column search: columns >= allow (the
-    artificials in phase 2) are never eligible.
+    artificials in phase 2) are never eligible. A row's ratio rhs/a
+    does not depend on its scale, so ratios compare by cross-multiplying.
     """
     m = len(tableau)
+    pivots = 0
     while True:
         entering = -1
         for j in range(allow):
@@ -220,39 +233,52 @@ def _iterate(tableau, basis, obj, total, allow):
                 entering = j  # Bland: lowest eligible index
                 break
         if entering < 0:
-            return OPTIMAL
+            return OPTIMAL, pivots
         leaving = -1
-        best = None
         for r in range(m):
             a = tableau[r][entering]
             if a > 0:
-                ratio = tableau[r][total] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leaving]):
-                    best = ratio
-                    leaving = r
+                t = tableau[r][total]
+                if leaving < 0:
+                    best_t, best_a, leaving = t, a, r
+                    continue
+                left, right = t * best_a, best_t * a
+                if left < right or (left == right and basis[r] < basis[leaving]):
+                    best_t, best_a, leaving = t, a, r
         if leaving < 0:
-            return UNBOUNDED
-        _pivot(tableau, basis, obj, leaving, entering, total)
+            return UNBOUNDED, pivots
+        _pivot(tableau, basis, leaving, entering)
+        obj = _eliminate(obj, tableau[leaving], entering)
+        pivots += 1
 
 
-def _pivot(tableau, basis, obj, r, c, total):
+def _pivot(tableau, basis, r, c):
+    """Make column c basic in row r, with a positive entry there."""
     row = tableau[r]
-    factor = row[c]
-    if factor != 1:
-        tableau[r] = row = [v / factor for v in row]
+    if row[c] < 0:
+        tableau[r] = row = [-v for v in row]
     for other in range(len(tableau)):
-        if other == r:
-            continue
-        coef = tableau[other][c]
-        if coef != 0:
-            target = tableau[other]
-            tableau[other] = [tv - coef * rv for tv, rv in zip(target, row)]
-    coef = obj[c]
-    if coef != 0:
-        for k in range(total + 1):
-            if row[k] != 0:
-                obj[k] -= coef * row[k]
+        if other != r and tableau[other][c] != 0:
+            tableau[other] = _eliminate(tableau[other], row, c)
     basis[r] = c
+
+
+def _eliminate(target, row, c):
+    """target - (target[c] / row[c]) * row, times row[c] > 0 and divided
+    by the gcd of its entries: the same rational row up to a positive
+    factor, with column c zeroed."""
+    a, p = target[c], row[c]
+    g = gcd(a, p)
+    a //= g
+    p //= g
+    if p == 1:
+        out = [t - a * v for t, v in zip(target, row)]
+    else:
+        out = [p * t - a * v for t, v in zip(target, row)]
+    g = gcd(*out)
+    if g > 1:
+        out = [v // g for v in out]
+    return out
 
 
 def _expel_artificials(tableau, basis, art_start, total):
@@ -273,5 +299,5 @@ def _expel_artificials(tableau, basis, art_start, total):
             del tableau[r]
             del basis[r]
             continue
-        _pivot(tableau, basis, [ZERO] * (total + 1), r, pivot_col, total)
+        _pivot(tableau, basis, r, pivot_col)
         r += 1

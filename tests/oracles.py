@@ -6,15 +6,29 @@ domination oracle searches a refined allocation grid instead of the
 exchange graph, and the trade executor replays a certificate literally.
 The multiplier and welfare oracles solve, with the exact simplex, the
 linear programs whose optima the package computes in closed form.
+fraction_solve_lp is the simplex as it stood before its tableau moved
+to integers: the same pivots, on Rationals. maxmin_geq_program is the
+max-min LP with its agent rows written as ">= 0", which needs phase 1.
 No test_ prefix, so pytest does not collect this module.
 """
 
 from itertools import combinations, product
 
-from ceub.errors import InfeasibleLP, InternalVerificationFailed
+from ceub.errors import InfeasibleLP, InternalVerificationFailed, MalformedProblem
 from ceub.generators import DEFAULT_GRID, SplitMix64
 from ceub.rationals import ONE, ZERO, rat
-from ceub.simplex import EQUAL, GREATER, INFEASIBLE, LESS, OPTIMAL, make_problem, solve_lp
+from ceub.simplex import (
+    EQUAL,
+    GREATER,
+    INFEASIBLE,
+    LESS,
+    OPTIMAL,
+    UNBOUNDED,
+    LpProblem,
+    LpSolution,
+    make_problem,
+    solve_lp,
+)
 from ceub.market import Allocation, make_allocation
 
 
@@ -234,3 +248,203 @@ def welfare_lp_allocation(inst, seed: int) -> Allocation:
     solution = solve_lp(make_problem(objective, rows))
     assert solution.status == OPTIMAL
     return make_allocation([[solution.x[i * m + j] for j in range(m)] for i in range(n)])
+
+
+def maxmin_geq_program(inst) -> LpProblem:
+    """The max-min LP with agent rows sum_j v_ij x_ij - lambda >= 0,
+    as maxmin_lp built it before it moved to the "<=" form."""
+    n, m = inst.agent_count, inst.item_count
+    lam_var = n * m
+    objective = [ZERO] * lam_var + [ONE]
+    rows = []
+    for i in range(n):
+        coeffs = [ZERO] * (lam_var + 1)
+        for j in range(m):
+            coeffs[i * m + j] = inst.values[i][j]
+        coeffs[lam_var] = -ONE
+        rows.append((coeffs, GREATER, ZERO))
+    for j in range(m):
+        coeffs = [ZERO] * (lam_var + 1)
+        for i in range(n):
+            coeffs[i * m + j] = ONE
+        rows.append((coeffs, LESS, ONE))
+    return make_problem(objective, rows)
+
+
+def fraction_solve_lp(problem: LpProblem) -> LpSolution:
+    """The exact two-phase simplex with Bland's rule on a tableau of
+    Rationals, as ceub.simplex.solve_lp ran before its integer rewrite;
+    the differential oracle for that rewrite."""
+    if not isinstance(problem, LpProblem):
+        raise MalformedProblem(f"not an LpProblem: {type(problem).__name__}")
+    n = problem.var_count
+
+    # Shift variables to x' = x - lower >= 0 and collect working rows.
+    # Upper bounds become plain rows in the shifted space.
+    work = []
+    for coeffs, relation, rhs in problem.rows:
+        shifted = rhs - sum(
+            (c * problem.lower[j] for j, c in enumerate(coeffs) if c != 0), ZERO
+        )
+        work.append([list(coeffs), relation, shifted])
+    for j, bound in enumerate(problem.upper):
+        if bound is None:
+            continue
+        coeffs = [ZERO] * n
+        coeffs[j] = ONE
+        work.append([coeffs, LESS, bound - problem.lower[j]])
+
+    # Normalize right-hand sides to be nonnegative.
+    for row in work:
+        if row[2] < 0:
+            row[0] = [-c for c in row[0]]
+            row[2] = -row[2]
+            row[1] = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[row[1]]
+
+    m = len(work)
+    slack_of_row = [None] * m
+    art_of_row = [None] * m
+    col = n
+    for r, (_, relation, _) in enumerate(work):
+        if relation in (LESS, GREATER):
+            slack_of_row[r] = col
+            col += 1
+    art_start = col
+    for r, (_, relation, _) in enumerate(work):
+        if relation in (GREATER, EQUAL):
+            art_of_row[r] = col
+            col += 1
+    total = col
+
+    # Tableau rows carry the rhs in the final position.
+    tableau = []
+    basis = []
+    for r, (coeffs, relation, rhs) in enumerate(work):
+        row = coeffs + [ZERO] * (total - n) + [rhs]
+        if slack_of_row[r] is not None:
+            row[slack_of_row[r]] = ONE if relation == LESS else -ONE
+        if art_of_row[r] is not None:
+            row[art_of_row[r]] = ONE
+        tableau.append(row)
+        basis.append(art_of_row[r] if art_of_row[r] is not None else slack_of_row[r])
+
+    # ------------------------------------------------------------------
+    # Phase 1: maximize -(sum of artificials). Artificials are basic, so
+    # the objective row starts as the sum of their rows (this zeroes the
+    # basic columns at once).
+    # ------------------------------------------------------------------
+    if art_start < total:
+        obj = [ZERO] * (total + 1)
+        for r in range(m):
+            if art_of_row[r] is not None:
+                row = tableau[r]
+                for k in range(total + 1):
+                    if row[k] != 0:
+                        obj[k] += row[k]
+        for a in range(art_start, total):
+            obj[a] = ZERO
+        status = _fraction_iterate(tableau, basis, obj, total, allow=total)
+        if status == UNBOUNDED:  # cannot happen: phase-1 objective is bounded by 0
+            raise MalformedProblem("phase-1 objective unbounded; solver invariant broken")
+        infeasibility = sum(
+            (tableau[r][total] for r in range(len(basis)) if basis[r] >= art_start), ZERO
+        )
+        if infeasibility != 0:
+            return LpSolution(INFEASIBLE, None, None)
+        _fraction_expel_artificials(tableau, basis, art_start, total)
+
+    # ------------------------------------------------------------------
+    # Phase 2: the real objective, reduced against the current basis.
+    # Artificial columns are dead; they never re-enter.
+    # ------------------------------------------------------------------
+    obj = [ZERO] * (total + 1)
+    for j, c in enumerate(problem.objective):
+        obj[j] = c
+    for r, bv in enumerate(basis):
+        coef = obj[bv]
+        if coef != 0:
+            row = tableau[r]
+            for k in range(total + 1):
+                if row[k] != 0:
+                    obj[k] -= coef * row[k]
+    status = _fraction_iterate(tableau, basis, obj, total, allow=art_start)
+    if status == UNBOUNDED:
+        return LpSolution(UNBOUNDED, None, None)
+
+    shifted = [ZERO] * total
+    for r, bv in enumerate(basis):
+        shifted[bv] = tableau[r][total]
+    x = tuple(shifted[j] + problem.lower[j] for j in range(n))
+    value = sum((c * x[j] for j, c in enumerate(problem.objective) if c != 0), ZERO)
+    return LpSolution(OPTIMAL, x, value)
+
+
+def _fraction_iterate(tableau, basis, obj, total, allow):
+    """Run simplex pivots until optimal or unbounded.
+
+    `allow` bounds the entering-column search: columns >= allow (the
+    artificials in phase 2) are never eligible.
+    """
+    m = len(tableau)
+    while True:
+        entering = -1
+        for j in range(allow):
+            if obj[j] > 0:
+                entering = j  # Bland: lowest eligible index
+                break
+        if entering < 0:
+            return OPTIMAL
+        leaving = -1
+        best = None
+        for r in range(m):
+            a = tableau[r][entering]
+            if a > 0:
+                ratio = tableau[r][total] / a
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leaving]):
+                    best = ratio
+                    leaving = r
+        if leaving < 0:
+            return UNBOUNDED
+        _fraction_pivot(tableau, basis, obj, leaving, entering, total)
+
+
+def _fraction_pivot(tableau, basis, obj, r, c, total):
+    row = tableau[r]
+    factor = row[c]
+    if factor != 1:
+        tableau[r] = row = [v / factor for v in row]
+    for other in range(len(tableau)):
+        if other == r:
+            continue
+        coef = tableau[other][c]
+        if coef != 0:
+            target = tableau[other]
+            tableau[other] = [tv - coef * rv for tv, rv in zip(target, row)]
+    coef = obj[c]
+    if coef != 0:
+        for k in range(total + 1):
+            if row[k] != 0:
+                obj[k] -= coef * row[k]
+    basis[r] = c
+
+
+def _fraction_expel_artificials(tableau, basis, art_start, total):
+    """Pivot zero-level artificials out of the basis; drop redundant rows."""
+    r = 0
+    while r < len(basis):
+        if basis[r] < art_start:
+            r += 1
+            continue
+        row = tableau[r]
+        pivot_col = -1
+        for j in range(art_start):
+            if row[j] != 0:
+                pivot_col = j
+                break
+        if pivot_col < 0:
+            # The row reads 0 = 0 over real variables: redundant.
+            del tableau[r]
+            del basis[r]
+            continue
+        _fraction_pivot(tableau, basis, [ZERO] * (total + 1), r, pivot_col, total)
+        r += 1

@@ -8,6 +8,7 @@ the same wrapper an installer writes, so no install is needed.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -215,6 +216,16 @@ def test_trace_logging_goes_to_stderr(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err != ""
 
 
+def test_info_logging_reports_the_maxmin_lp(tmp_path, capsys, monkeypatch):
+    instance, _ = write_toy(tmp_path)
+    assert main(["maxmin", instance, "-o", str(tmp_path / "o.json")]) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setenv("CEUB_LOG", "info")
+    assert main(["maxmin", instance, "-o", str(tmp_path / "o.json")]) == 0
+    err = capsys.readouterr().err
+    assert err == "INFO ceub.maxmin: max-min LP 2x1: 3 rows, 3 columns, pivots 0+3, lambda=99/100\n"
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
     assert "usage error" in capsys.readouterr().err
@@ -249,3 +260,60 @@ def test_installed_entry_point_smoke(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "supported" in done.stdout
     load_equilibrium(out.read_text(encoding="utf-8"))
+
+
+# ------------------------------------------------------------ malformed input
+
+BIG = "9" * 5000
+RATIONAL = r'"(-?[0-9]+)(/[0-9]+)?"'
+
+# Each rewrites the canonical text of a valid document; Python's limit on
+# the digits of an int (4300 by default) makes 5000-digit numbers errors.
+MALFORMED = {
+    "deep nesting": lambda text: "[" * 100_000,
+    "deep nesting in a field": lambda text: re.sub(r"[0-9]+,.*", "[" * 100_000, text, flags=re.S),
+    "invalid UTF-8": lambda text: text.encode().replace(b"ceub", b"\xffceub"),
+    "5000-digit count": lambda text: re.sub(r'"agents": [0-9]+', '"agents": ' + BIG, text),
+    "5000-digit rational": lambda text: re.sub(RATIONAL, f'"{BIG}"', text, count=1),
+    "root is a list": lambda text: f"[{text}]",
+    "count is a string": lambda text: re.sub(r'"agents": ([0-9]+)', r'"agents": "\1"', text),
+    "count is a boolean": lambda text: re.sub(r'"agents": [0-9]+', '"agents": true', text),
+    "rationals are numbers": lambda text: re.sub(RATIONAL, r"\1", text),
+    "rows are null": lambda text: re.sub(r'"(values|shares|cycle_free_allocation)": \[\s*\[[^]]*\]',
+                                         r'"\1": [null', text),
+    "tree id is a boolean": lambda text: re.sub(r'("of_item": \[\s*)0', r"\1false", text),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_documents_exit_1_without_traceback(tmp_path, capsys, name):
+    instance, allocation = write_toy(tmp_path)
+    equilibrium = str(tmp_path / "eq.json")
+    assert main(["price", instance, allocation, "-o", equilibrium]) == 0
+    out = str(tmp_path / "out.json")
+    commands = [
+        ["maxmin", instance, "-o", out],
+        ["price", instance, allocation, "-o", out],
+        ["verify", instance, allocation, equilibrium],
+    ]
+    bad = tmp_path / "bad.json"
+    tried = 0
+    for command in commands:
+        for slot, path in enumerate(command[1:], start=1):
+            if path in ("-o", out):
+                continue
+            text = Path(path).read_text(encoding="utf-8")
+            broken = MALFORMED[name](text)
+            if broken == text:
+                continue  # nothing to break in this kind of document
+            if isinstance(broken, bytes):
+                bad.write_bytes(broken)
+            else:
+                bad.write_text(broken, encoding="utf-8")
+            capsys.readouterr()
+            code = main(command[:slot] + [str(bad)] + command[slot + 1:])
+            err = capsys.readouterr().err
+            assert code == 1, (command[0], slot, err)
+            assert err.startswith("error: ") and "Traceback" not in err, err
+            tried += 1
+    assert tried > 0

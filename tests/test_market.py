@@ -59,6 +59,8 @@ def test_validate_instance_rejects_bad_shapes():
         validate_instance([[1, 2], [3]])
     with pytest.raises(NonPositiveValuation):
         validate_instance([[-1]])
+    with pytest.raises(NonPositiveValuation):
+        validate_instance([[rat(-1, 2)]])
 
 
 def test_make_allocation_constraints():

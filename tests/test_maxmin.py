@@ -1,6 +1,7 @@
 """Max-min allocations: exact LP route, the two fast paths, and the
 equal-utility + Pareto-optimality characterization."""
 
+import logging
 import random
 
 import pytest
@@ -70,6 +71,20 @@ def test_lp_output_is_settled():
         for j in range(m):
             assert result.allocation.column_sum(j) == 1
         assert check_maxmin_characterization(inst, result.allocation)
+
+
+def test_lp_logs_one_info_line(caplog):
+    # The "<=" agent rows make the all-slack basis feasible: no phase-1 pivots.
+    inst = validate_instance([[3, 1], [1, 3]])
+    with caplog.at_level(logging.INFO, logger="ceub.maxmin"):
+        maxmin_lp(inst)
+    assert [r.getMessage() for r in caplog.records if r.name == "ceub.maxmin"] == [
+        "max-min LP 2x2: 4 rows, 5 columns, pivots 0+6, lambda=3"
+    ]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="ceub.maxmin"):
+        maxmin_lp(inst)
+    assert not [r for r in caplog.records if r.name == "ceub.maxmin"]
 
 
 # ------------------------------------------------------------ two agents

@@ -66,6 +66,8 @@ def test_rat_coercions():
     assert rat("2/3") == rat(2, 3)
     assert rat(rat(5, 7)) == rat(5, 7)
     assert rat(Fraction(2, 6)) == rat(1, 3)  # the other backend's type
+    half = rat(1, 2)
+    assert rat(half) is half  # already the active type: returned as is
 
 
 def test_rat_rejects_inexact_and_nonsense():
@@ -77,6 +79,8 @@ def test_rat_rejects_inexact_and_nonsense():
         rat(1, True)
     with pytest.raises(TypeError):
         rat("1/2", 3)
+    with pytest.raises(TypeError):
+        rat(rat(1, 2), 3)
     with pytest.raises(TypeError):
         rat(object())
     with pytest.raises(ZeroDivisionError):
