@@ -9,11 +9,12 @@ prices and budgets exactly (all arithmetic is rational, never
 floating-point), verifies them independently, and ships the max-min
 solvers and generators used to exercise the construction.
 
-The pipeline: verify Pareto optimality (market), remove sharing-graph
-cycles without touching utilities (graphs), price each resulting tree
-from an anchor agent (pricing), and scale the trees against each other
-by the least solution of their difference constraints, an exact
-multiplicative Bellman-Ford (scaling). Entry point: support_pipeline.
+The pipeline: remove sharing-graph cycles without touching utilities
+(graphs), price each resulting tree from an anchor agent (pricing),
+scale the trees by an exact multiplicative Bellman-Ford (scaling), and
+check the input once with the demand oracle (market), which certifies
+Pareto optimality; the exchange-graph verifier only explains failures.
+Entry point: support_pipeline.
 """
 
 from .errors import (

@@ -14,6 +14,7 @@ or trace.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -65,7 +66,7 @@ def cmd_price(args) -> int:
     y = load_allocation(_read(args.allocation))
     details = support_with_details(inst, y)
     eq = details.equilibrium
-    report = verify_equilibrium(inst, y, eq.prices, eq.budgets)
+    report = details.report
     doc = EquilibriumDoc(
         prices=eq.prices,
         budgets=eq.budgets,
@@ -121,6 +122,11 @@ def cmd_verify(args) -> int:
             f" utility {format_rational(r.achieved_utility)},"
             f" optimum {format_rational(r.optimal_utility)} -> {status}"
         )
+    if report.supported and report.budgets_exhausted and report.items_fully_allocated:
+        print("equilibrium verified: all agents at demand-set optima, market cleared")
+        return 0
+    # A passing report certifies Pareto optimality; on a failing one the
+    # exchange graph tells a dominated allocation (2) from a bad file (3).
     verdict = verify_pareto_optimal(inst, alloc)
     if not verdict.ok:
         if verdict.unallocated_item is not None:
@@ -132,24 +138,14 @@ def cmd_verify(args) -> int:
                 f" and items {list(c.items)}, ratio {format_rational(c.improvement_ratio)}"
             )
         return 2
+    # The verifier passed, so every item is fully allocated.
     if not report.supported:
         failing = next(r.agent for r in report.reports if not r.in_demand_set)
         print(f"verification failed: agent {failing} is not at a demand-set optimum")
         return 3
-    if not report.budgets_exhausted:
-        failing = next(
-            r.agent for r in report.reports if r.spend != doc.budgets[r.agent]
-        )
-        print(f"verification failed: agent {failing} does not spend its exact budget")
-        return 3
-    if not report.items_fully_allocated:
-        failing = next(
-            j for j in range(inst.item_count) if alloc.column_sum(j) != 1
-        )
-        print(f"verification failed: item {failing} is not fully allocated")
-        return 3
-    print("equilibrium verified: all agents at demand-set optima, market cleared")
-    return 0
+    failing = next(r.agent for r in report.reports if r.spend != doc.budgets[r.agent])
+    print(f"verification failed: agent {failing} does not spend its exact budget")
+    return 3
 
 
 def cmd_gen(args) -> int:
@@ -167,6 +163,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ceub", description="Competitive equilibria with unequal budgets.")
     sub = parser.add_subparsers(dest="command", required=True)

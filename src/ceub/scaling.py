@@ -24,13 +24,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .errors import InfeasibleLP, InternalVerificationFailed, NotParetoOptimal, SameTree
+from .errors import InfeasibleLP, InternalVerificationFailed, NotParetoOptimal, OrphanItem, SameTree
 from .graphs import make_cycle_free
 from .market import (
     Allocation,
+    EquilibriumReport,
     Instance,
-    bundle_cost,
-    is_in_demand_set,
     max_product_paths,
     verify_equilibrium,
     verify_pareto_optimal,
@@ -108,6 +107,7 @@ class PipelineDetails:
     alpha: tuple
     lam: Rational
     cycle_free: Allocation
+    report: EquilibriumReport  # the demand oracle on y at the equilibrium
 
 
 def build_gain_state(inst: Instance, alloc: Allocation) -> GainState:
@@ -251,8 +251,8 @@ def solve_multiplier_lp(state: GainState):
     for t in funded:
         alpha[t] = d[t] / total
     lam = ONE / total
-    log.debug("multipliers: %d trees, %d pair constraints, lambda=%s",
-              len(funded), len(ratios), lam)
+    log.info("multipliers: %d trees, %d pair constraints, lambda=%s",
+             len(funded), len(ratios), lam)
     return tuple(alpha), lam
 
 
@@ -284,49 +284,54 @@ def assemble_equilibrium(state: GainState, alpha) -> Equilibrium:
     return Equilibrium(prices, budgets, tuple(alpha), state.alloc, decomp)
 
 
-def support_with_details(inst: Instance, y: Allocation) -> PipelineDetails:
-    """support_pipeline, returning every intermediate for auditing."""
+def _raise_if_not_pareto_optimal(inst: Instance, y: Allocation) -> None:
+    """Raise the verifier's NotParetoOptimal for y, if it finds one."""
     verdict = verify_pareto_optimal(inst, y)
-    if not verdict.ok:
-        if verdict.unallocated_item is not None:
-            raise NotParetoOptimal(
-                f"item {verdict.unallocated_item} is not fully allocated; "
-                "handing out the remainder improves someone",
-                verdict=verdict,
-            )
-        c = verdict.certificate
+    if verdict.ok:
+        return
+    if verdict.unallocated_item is not None:
         raise NotParetoOptimal(
-            f"improving trade cycle through agents {c.agents} and items {c.items} "
-            f"(ratio {c.improvement_ratio})",
+            f"item {verdict.unallocated_item} is not fully allocated; "
+            "handing out the remainder improves someone",
             verdict=verdict,
         )
-    x = make_cycle_free(inst, y)
-    state = build_gain_state(inst, x)
-    alpha, lam = solve_multiplier_lp(state)
-    eq = assemble_equilibrium(state, alpha)
-    # The same prices and budgets must support the original allocation:
-    # its bundles cost exactly the budgets and sit in the demand sets.
-    for i in range(inst.agent_count):
-        if bundle_cost(y.x[i], eq.prices) != eq.budgets[i]:
-            raise InternalVerificationFailed(
-                f"original bundle of agent {i} does not cost its budget"
-            )
-        if not is_in_demand_set(inst, eq.prices, eq.budgets[i], i, y.x[i]).in_demand_set:
-            raise InternalVerificationFailed(
-                f"original bundle of agent {i} left its demand set"
-            )
-    return PipelineDetails(eq, state, alpha, lam, x)
+    c = verdict.certificate
+    raise NotParetoOptimal(
+        f"improving trade cycle through agents {c.agents} and items {c.items} "
+        f"(ratio {c.improvement_ratio})",
+        verdict=verdict,
+    )
+
+
+def support_with_details(inst: Instance, y: Allocation) -> PipelineDetails:
+    """support_pipeline, returning every intermediate for auditing."""
+    try:
+        x = make_cycle_free(inst, y)
+        state = build_gain_state(inst, x)
+        alpha, lam = solve_multiplier_lp(state)
+        eq = assemble_equilibrium(state, alpha)
+    except (NotParetoOptimal, OrphanItem, InternalVerificationFailed) as exc:
+        _raise_if_not_pareto_optimal(inst, y)
+        raise InternalVerificationFailed(f"Pareto-optimal input, yet: {exc}") from exc
+    # First Welfare Theorem: positive prices that support y, with every
+    # budget spent and every item sold, make y Pareto optimal. So this
+    # one check certifies y; the exchange graph only explains a failure.
+    report = verify_equilibrium(inst, y, eq.prices, eq.budgets)
+    if not (report.supported and report.budgets_exhausted and report.items_fully_allocated):
+        _raise_if_not_pareto_optimal(inst, y)
+        raise InternalVerificationFailed("the prices do not support the original allocation")
+    return PipelineDetails(eq, state, alpha, lam, x, report)
 
 
 def support_pipeline(inst: Instance, y: Allocation) -> Equilibrium:
     """Prices and budgets supporting a Pareto-optimal allocation y.
 
-    Composes the whole construction: verify Pareto optimality, remove
-    graph cycles without touching utilities, price each tree from its
-    root, scale trees by the closed-form multipliers, and verify that
-    the result supports both the cycle-free transform and y itself.
+    Remove graph cycles without touching utilities, price each tree from
+    its root, scale trees by the closed-form multipliers, verify that the
+    result supports the cycle-free transform, then check y itself once.
 
-    Raises NotParetoOptimal (directly from the verifier, or as
-    InfeasibleLP from the scaling step) if y is not supportable.
+    Raises NotParetoOptimal, with the exchange-graph verifier's verdict,
+    if the construction or the check of y fails and y is not Pareto
+    optimal; InternalVerificationFailed if y passes the verifier.
     """
     return support_with_details(inst, y).equilibrium

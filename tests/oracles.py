@@ -9,12 +9,21 @@ linear programs whose optima the package computes in closed form.
 fraction_solve_lp is the simplex as it stood before its tableau moved
 to integers: the same pivots, on Rationals. maxmin_geq_program is the
 max-min LP with its agent rows written as ">= 0", which needs phase 1.
+eager_support_with_details is the pricing pipeline as it stood before
+the equilibrium became the Pareto certificate: the exchange-graph
+verifier first, then the construction, then every bundle of y checked
+by hand and y's report computed once more, as `ceub price` did.
 No test_ prefix, so pytest does not collect this module.
 """
 
 from itertools import combinations, product
 
-from ceub.errors import InfeasibleLP, InternalVerificationFailed, MalformedProblem
+from ceub.errors import (
+    InfeasibleLP,
+    InternalVerificationFailed,
+    MalformedProblem,
+    NotParetoOptimal,
+)
 from ceub.generators import DEFAULT_GRID, SplitMix64
 from ceub.rationals import ONE, ZERO, rat
 from ceub.simplex import (
@@ -29,7 +38,22 @@ from ceub.simplex import (
     make_problem,
     solve_lp,
 )
-from ceub.market import Allocation, make_allocation
+from ceub.graphs import make_cycle_free
+from ceub.market import (
+    Allocation,
+    Instance,
+    bundle_cost,
+    is_in_demand_set,
+    make_allocation,
+    verify_equilibrium,
+    verify_pareto_optimal,
+)
+from ceub.scaling import (
+    PipelineDetails,
+    assemble_equilibrium,
+    build_gain_state,
+    solve_multiplier_lp,
+)
 
 
 def gauss_solve(rows, rhs):
@@ -448,3 +472,39 @@ def _fraction_expel_artificials(tableau, basis, art_start, total):
             continue
         _fraction_pivot(tableau, basis, [ZERO] * (total + 1), r, pivot_col, total)
         r += 1
+
+
+def eager_support_with_details(inst: Instance, y: Allocation) -> PipelineDetails:
+    """support_pipeline, returning every intermediate for auditing."""
+    verdict = verify_pareto_optimal(inst, y)
+    if not verdict.ok:
+        if verdict.unallocated_item is not None:
+            raise NotParetoOptimal(
+                f"item {verdict.unallocated_item} is not fully allocated; "
+                "handing out the remainder improves someone",
+                verdict=verdict,
+            )
+        c = verdict.certificate
+        raise NotParetoOptimal(
+            f"improving trade cycle through agents {c.agents} and items {c.items} "
+            f"(ratio {c.improvement_ratio})",
+            verdict=verdict,
+        )
+    x = make_cycle_free(inst, y)
+    state = build_gain_state(inst, x)
+    alpha, lam = solve_multiplier_lp(state)
+    eq = assemble_equilibrium(state, alpha)
+    # The same prices and budgets must support the original allocation:
+    # its bundles cost exactly the budgets and sit in the demand sets.
+    for i in range(inst.agent_count):
+        if bundle_cost(y.x[i], eq.prices) != eq.budgets[i]:
+            raise InternalVerificationFailed(
+                f"original bundle of agent {i} does not cost its budget"
+            )
+        if not is_in_demand_set(inst, eq.prices, eq.budgets[i], i, y.x[i]).in_demand_set:
+            raise InternalVerificationFailed(
+                f"original bundle of agent {i} left its demand set"
+            )
+    # The report `ceub price` then computed for its output file.
+    report = verify_equilibrium(inst, y, eq.prices, eq.budgets)
+    return PipelineDetails(eq, state, alpha, lam, x, report)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from ceub import cli, scaling
 from ceub.cli import main
 from ceub.formats import dump_allocation, dump_instance, load_equilibrium, load_maxmin
 from ceub.market import make_allocation, validate_instance
@@ -119,7 +120,14 @@ def test_maxmin_fast_requires_a_small_side(tmp_path, capsys):
 # ----------------------------------------------------------------- verify
 
 
-def test_verify_accepts_price_output(tmp_path, capsys):
+def test_verify_accepts_price_output(tmp_path, capsys, monkeypatch):
+    # A passing equilibrium certifies Pareto optimality: on success neither
+    # command consults the exchange-graph verifier.
+    def unexpected(inst, alloc):
+        raise AssertionError("verify_pareto_optimal ran on the success path")
+
+    monkeypatch.setattr(cli, "verify_pareto_optimal", unexpected)
+    monkeypatch.setattr(scaling, "verify_pareto_optimal", unexpected)
     instance, allocation = write_toy(tmp_path)
     eq = str(tmp_path / "eq.json")
     assert main(["price", instance, allocation, "-o", eq]) == 0
@@ -154,6 +162,45 @@ def test_verify_flags_non_pareto_allocation(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", instance, allocation, eq]) == 2
     assert "not fully allocated" in capsys.readouterr().out
+
+
+def test_verify_flags_dominated_full_allocation(tmp_path, capsys):
+    # The equilibrium file is valid for the welfare vertex; checked against
+    # a dominated, fully allocated matrix, the demand oracle fails and the
+    # exchange graph turns that into exit 2 with the improving cycle.
+    inst = validate_instance([[2, 1], [1, 2]])
+    instance = tmp_path / "i.json"
+    allocation = tmp_path / "a.json"
+    instance.write_text(dump_instance(inst), encoding="utf-8")
+    allocation.write_text(dump_allocation(make_allocation([[1, 0], [0, 1]])), encoding="utf-8")
+    eq = str(tmp_path / "eq.json")
+    assert main(["price", str(instance), str(allocation), "-o", eq]) == 0
+    half = rat(1, 2)
+    dominated = make_allocation([[half, half], [half, half]])
+    allocation.write_text(dump_allocation(dominated), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(instance), str(allocation), eq]) == 2
+    out = capsys.readouterr().out
+    assert "NOT IN DEMAND SET" in out
+    assert out.splitlines()[-1] == (
+        "not Pareto optimal: improving cycle through agents [0, 1] and items [0, 1], ratio 4"
+    )
+
+
+def test_verify_names_agent_with_edited_price(tmp_path, capsys):
+    instance, allocation = write_toy(tmp_path)
+    eq_path = tmp_path / "eq.json"
+    assert main(["price", instance, allocation, "-o", str(eq_path)]) == 0
+    doc = json.loads(eq_path.read_text(encoding="utf-8"))
+    assert doc["prices"] == ["1"]
+    doc["prices"][0] = "2"
+    eq_path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", instance, allocation, str(eq_path)]) == 3
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == (
+        "verification failed: agent 0 is not at a demand-set optimum"
+    )
 
 
 def test_verify_missing_file(tmp_path, capsys):
@@ -224,6 +271,14 @@ def test_info_logging_reports_the_maxmin_lp(tmp_path, capsys, monkeypatch):
     assert main(["maxmin", instance, "-o", str(tmp_path / "o.json")]) == 0
     err = capsys.readouterr().err
     assert err == "INFO ceub.maxmin: max-min LP 2x1: 3 rows, 3 columns, pivots 0+3, lambda=99/100\n"
+
+
+def test_info_logging_reports_the_multipliers(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CEUB_LOG", "info")
+    instance, allocation = write_toy(tmp_path)
+    assert main(["price", instance, allocation, "-o", str(tmp_path / "eq.json")]) == 0
+    err = capsys.readouterr().err
+    assert err == "INFO ceub.scaling: multipliers: 1 trees, 0 pair constraints, lambda=1\n"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -5,10 +5,12 @@ prices and budgets that support it; every stage is exercised both on
 hand-sized fixtures and on generated instances.
 """
 
+import logging
 import random
 
 import pytest
 
+from ceub import scaling
 from ceub.errors import InfeasibleLP, NotParetoOptimal, SameTree
 from ceub.generators import GenConfig, gen_instance, gen_pareto_allocation
 from ceub.graphs import build_graph, find_cycle
@@ -193,6 +195,20 @@ def test_degenerate_trees_are_pinned_at_zero():
     assert lam == 1
 
 
+def test_multipliers_log_one_info_line(caplog):
+    inst, alloc = diagonal([[3, 1], [1, 3]])
+    state = build_gain_state(inst, alloc)
+    with caplog.at_level(logging.INFO, logger="ceub.scaling"):
+        solve_multiplier_lp(state)
+    assert [r.getMessage() for r in caplog.records if r.name == "ceub.scaling"] == [
+        "multipliers: 2 trees, 2 pair constraints, lambda=1/2"
+    ]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="ceub.scaling"):
+        solve_multiplier_lp(state)
+    assert not [r for r in caplog.records if r.name == "ceub.scaling"]
+
+
 # ---------------------------------------------------------------- assembly
 
 
@@ -243,6 +259,23 @@ def test_support_pipeline_supports_original_and_transform():
         assert bundle_cost(y.x[i], eq.prices) == eq.budgets[i]
 
 
+def test_exchange_graph_runs_only_on_failure(monkeypatch):
+    calls = []
+    real = scaling.verify_pareto_optimal
+
+    def counted(inst, y):
+        calls.append(y)
+        return real(inst, y)
+
+    monkeypatch.setattr(scaling, "verify_pareto_optimal", counted)
+    inst = validate_instance([[2, 1], [1, 2]])
+    support_with_details(inst, make_allocation([[1, 0], [0, 1]]))
+    assert calls == []
+    with pytest.raises(NotParetoOptimal):
+        support_with_details(inst, make_allocation([[HALF, HALF], [HALF, HALF]]))
+    assert len(calls) == 1
+
+
 def test_support_pipeline_rejects_dominated_input():
     inst = validate_instance([[2, 1], [1, 2]])
     y = make_allocation([[HALF, HALF], [HALF, HALF]])
@@ -285,3 +318,4 @@ def test_pipeline_details_expose_consistent_intermediates():
             assert report.in_demand_set
         full = verify_equilibrium(inst, eq.allocation, eq.prices, eq.budgets)
         assert full.supported and full.items_fully_allocated and full.budgets_exhausted
+        assert details.report == verify_equilibrium(inst, y, eq.prices, eq.budgets)
