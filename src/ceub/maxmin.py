@@ -32,7 +32,7 @@ from .market import (
     verify_pareto_optimal,
 )
 from .rationals import ONE, ZERO, Rational
-from .simplex import LESS, OPTIMAL, make_problem, solve_lp
+from .simplex import LESS, OPTIMAL, LpProblem, make_problem, solve_lp
 
 log = logging.getLogger(__name__)
 
@@ -89,6 +89,25 @@ def maxmin_lp(inst: Instance) -> MaxMinResult:
     facts, treating a violation as a solver bug rather than patching it.
     """
     n, m = inst.agent_count, inst.item_count
+    problem = _program(inst)
+    solution = solve_lp(problem)
+    if solution.status != OPTIMAL:
+        raise InternalVerificationFailed(f"max-min program {solution.status}")
+    lam = solution.x[n * m]
+    shares = [[solution.x[i * m + j] for j in range(m)] for i in range(n)]
+    alloc = _settle(inst, shares, lam)
+    log.info(
+        "max-min LP %dx%d: %d rows, %d columns, pivots %d+%d, %d bits, lambda=%s",
+        n, m, len(problem.rows), problem.var_count, *solution.pivots, solution.bits, lam,
+    )
+    return MaxMinResult(alloc, lam)
+
+
+def _program(inst: Instance) -> LpProblem:
+    """max lambda s.t. lambda - sum_j v_ij x_ij <= 0 for each agent i and
+    sum_i x_ij <= 1 for each item j; x_ij is variable i*m + j, lambda
+    the last."""
+    n, m = inst.agent_count, inst.item_count
     lam_var = n * m
     objective = [ZERO] * lam_var + [ONE]
     rows = []
@@ -103,17 +122,7 @@ def maxmin_lp(inst: Instance) -> MaxMinResult:
         for i in range(n):
             coeffs[i * m + j] = ONE
         rows.append((coeffs, LESS, ONE))
-    solution = solve_lp(make_problem(objective, rows))
-    if solution.status != OPTIMAL:
-        raise InternalVerificationFailed(f"max-min program {solution.status}")
-    lam = solution.x[lam_var]
-    shares = [[solution.x[i * m + j] for j in range(m)] for i in range(n)]
-    alloc = _settle(inst, shares, lam)
-    log.info(
-        "max-min LP %dx%d: %d rows, %d columns, pivots %d+%d, lambda=%s",
-        n, m, len(rows), len(objective), *solution.pivots, lam,
-    )
-    return MaxMinResult(alloc, lam)
+    return make_problem(objective, rows)
 
 
 def _settle(inst: Instance, shares, lam) -> Allocation:

@@ -270,7 +270,7 @@ def test_info_logging_reports_the_maxmin_lp(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CEUB_LOG", "info")
     assert main(["maxmin", instance, "-o", str(tmp_path / "o.json")]) == 0
     err = capsys.readouterr().err
-    assert err == "INFO ceub.maxmin: max-min LP 2x1: 3 rows, 3 columns, pivots 0+3, lambda=99/100\n"
+    assert err == "INFO ceub.maxmin: max-min LP 2x1: 3 rows, 3 columns, pivots 0+3, 7 bits, lambda=99/100\n"
 
 
 def test_info_logging_reports_the_multipliers(tmp_path, capsys, monkeypatch):

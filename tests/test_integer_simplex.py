@@ -1,16 +1,19 @@
 """The integer simplex against the Rational one it replaced, and the
 "<=" max-min program against the ">=" one.
 
-simplex.solve_lp pivots on integer rows; tests/oracles.py keeps the
-Rational tableau as fraction_solve_lp. Both follow Bland's rule, so
-they must make the same pivots, (leaving, entering) variable for
-variable, and agree exactly on status, x and objective value. Problems are
-drawn with EQUAL rows, repeated (redundant) rows, negative right-hand
-sides, lower and upper bounds, and degenerate ties from {0, +-1, +-1/2};
-the explicit examples pin an infeasible, an unbounded and a redundant
-case. maxmin_lp writes its agent rows as "<= 0", which needs no phase 1;
-it must return the same lambda and shares as the ">= 0" program.
-"""
+simplex.solve_lp is a revised simplex on ints (D·B⁻¹ and the duals);
+tests/oracles.py keeps the Rational tableau as fraction_solve_lp. Both
+follow Bland's rule, so they must make the same pivots, (leaving,
+entering) variable for variable, and agree exactly on status, x and
+objective value. Problems are drawn with EQUAL rows, repeated
+(redundant) rows, negative right-hand sides, lower and upper bounds,
+and degenerate ties from {0, +-1, +-1/2}; the explicit examples pin an
+infeasible, an unbounded and a redundant case, a phase 1 over rows of
+different scales and a negative pivot while expelling an artificial.
+The max-min programs of both generators, up to 8 agents by 8 items, are
+compared the same way. maxmin_lp writes its agent rows as "<= 0", which
+needs no phase 1; it must return the same lambda and shares as the
+">= 0" program."""
 
 from contextlib import contextmanager
 from unittest.mock import patch
@@ -22,7 +25,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ceub import simplex
+from ceub import maxmin, simplex
 from ceub.generators import GenConfig, gen_instance, gen_structured_instance
 from ceub.maxmin import maxmin_lp
 from ceub.rationals import rat
@@ -91,7 +94,30 @@ def pivot_path(module, name, row_arg):
     )
 )
 @example(make_problem([-1, 1], [((-1, rat(1, 2)), LESS, -1)], lower=[-1, rat(1, 2)]))  # rhs < 0
+@example(  # row scales 4 and 1: phase 1 must weight the artificials 1 and 4
+    make_problem([1], [((rat(-7, 4),), EQUAL, 0), ((2,), EQUAL, 0)])
+)
+@example(  # expulsion pivots on -1, then phase 2 raises the second variable
+    make_problem([0, 1], [((-1, 0), EQUAL, 0), ((0, 1), LESS, 1)])
+)
 def test_integer_tableau_matches_the_fraction_simplex(problem):
+    assert_same_run(problem)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.integers(1, 8),
+    m=st.integers(1, 8),
+    generator=st.sampled_from((gen_instance, gen_structured_instance)),
+)
+@example(seed=8, n=8, m=8, generator=gen_instance)
+@example(seed=8, n=8, m=8, generator=gen_structured_instance)
+def test_maxmin_programs_pivot_like_the_fraction_simplex(seed, n, m, generator):
+    assert_same_run(maxmin._program(generator(GenConfig(seed=seed, agents=n, items=m))))
+
+
+def assert_same_run(problem):
     with pivot_path(simplex, "_pivot", 2) as new_path:
         new = solve_lp(problem)
     with pivot_path(oracles, "_fraction_pivot", 3) as old_path:

@@ -79,7 +79,7 @@ def test_lp_logs_one_info_line(caplog):
     with caplog.at_level(logging.INFO, logger="ceub.maxmin"):
         maxmin_lp(inst)
     assert [r.getMessage() for r in caplog.records if r.name == "ceub.maxmin"] == [
-        "max-min LP 2x2: 4 rows, 5 columns, pivots 0+6, lambda=3"
+        "max-min LP 2x2: 4 rows, 5 columns, pivots 0+6, 4 bits, lambda=3"
     ]
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="ceub.maxmin"):
