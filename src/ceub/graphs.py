@@ -203,7 +203,9 @@ def make_cycle_free(inst: Instance, alloc: Allocation) -> Allocation:
     """Eliminate cycles until G(x) is a forest; utilities never change.
 
     Each elimination removes at least one edge, so the loop runs at most
-    |edges| times.
+    |edges| times. When G(alloc) is already a forest, alloc itself is
+    returned, the same object, so callers can tell by identity that
+    nothing changed.
     """
     _check_dims(inst, alloc)
     budget = build_graph(inst, alloc).edge_count + 1

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import (
     DimensionMismatch,
@@ -186,6 +187,12 @@ def max_affordable_utility(inst: Instance, prices, budget: Rational, i: int) -> 
     Items are bought in decreasing bang-per-buck v[i][j]/p[j] (ties by
     ascending item index), at most one unit each, until the budget runs
     out. For this structure the greedy optimum is exact.
+
+    The order is computed on ints: with v = vn/vd and p = pn/pd, the
+    ratio is (vn*pd)/(vd*pn), and over L, the lcm of the vd*pn, every
+    ratio becomes an integer numerator vn*pd*(L // (vd*pn)) that sorts
+    exactly as the rational ratio does. The components are read through
+    int(), so prices may be ints or either backend's rationals.
     """
     if len(prices) != inst.item_count:
         raise DimensionMismatch(f"{len(prices)} prices for {inst.item_count} items")
@@ -196,7 +203,13 @@ def max_affordable_utility(inst: Instance, prices, budget: Rational, i: int) -> 
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     vals = inst.values[i]
-    order = sorted(range(inst.item_count), key=lambda j: (-(vals[j] / prices[j]), j))
+    nums = []
+    dens = []
+    for v, p in zip(vals, prices):
+        nums.append(int(v.numerator) * int(p.denominator))
+        dens.append(int(v.denominator) * int(p.numerator))
+    common = lcm(*dens)
+    order = sorted(range(inst.item_count), key=lambda j: (-(nums[j] * (common // dens[j])), j))
     remaining = budget
     total = ZERO
     for j in order:

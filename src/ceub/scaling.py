@@ -264,6 +264,12 @@ def assemble_equilibrium(state: GainState, alpha) -> Equilibrium:
     gain table at alpha must be identically zero. Failure of either
     check is a pipeline bug, not a property of the input.
     """
+    return _assemble(state, alpha)[0]
+
+
+def _assemble(state: GainState, alpha) -> tuple:
+    """assemble_equilibrium, also returning the demand-oracle report on
+    the cycle-free allocation: (Equilibrium, EquilibriumReport)."""
     _check_alpha(state, alpha)
     decomp = state.decomp
     prices = tuple(
@@ -281,7 +287,7 @@ def assemble_equilibrium(state: GainState, alpha) -> Equilibrium:
         )
     if not build_gain_table(state, alpha).all_zero:
         raise InternalVerificationFailed("gain table is nonzero at the solved multipliers")
-    return Equilibrium(prices, budgets, tuple(alpha), state.alloc, decomp)
+    return Equilibrium(prices, budgets, tuple(alpha), state.alloc, decomp), report
 
 
 def _raise_if_not_pareto_optimal(inst: Instance, y: Allocation) -> None:
@@ -309,14 +315,17 @@ def support_with_details(inst: Instance, y: Allocation) -> PipelineDetails:
         x = make_cycle_free(inst, y)
         state = build_gain_state(inst, x)
         alpha, lam = solve_multiplier_lp(state)
-        eq = assemble_equilibrium(state, alpha)
+        eq, report = _assemble(state, alpha)
     except (NotParetoOptimal, OrphanItem, InternalVerificationFailed) as exc:
         _raise_if_not_pareto_optimal(inst, y)
         raise InternalVerificationFailed(f"Pareto-optimal input, yet: {exc}") from exc
     # First Welfare Theorem: positive prices that support y, with every
     # budget spent and every item sold, make y Pareto optimal. So this
     # one check certifies y; the exchange graph only explains a failure.
-    report = verify_equilibrium(inst, y, eq.prices, eq.budgets)
+    # When G(y) is already a forest, x is y and the construction's check
+    # of x at these prices and budgets is this check of y.
+    if x is not y:
+        report = verify_equilibrium(inst, y, eq.prices, eq.budgets)
     if not (report.supported and report.budgets_exhausted and report.items_fully_allocated):
         _raise_if_not_pareto_optimal(inst, y)
         raise InternalVerificationFailed("the prices do not support the original allocation")
@@ -328,7 +337,8 @@ def support_pipeline(inst: Instance, y: Allocation) -> Equilibrium:
 
     Remove graph cycles without touching utilities, price each tree from
     its root, scale trees by the closed-form multipliers, verify that the
-    result supports the cycle-free transform, then check y itself once.
+    result supports the cycle-free transform, then check y itself once
+    (when the transform is y, that verification was the check of y).
 
     Raises NotParetoOptimal, with the exchange-graph verifier's verdict,
     if the construction or the check of y fails and y is not Pareto

@@ -13,16 +13,21 @@ eager_support_with_details is the pricing pipeline as it stood before
 the equilibrium became the Pareto certificate: the exchange-graph
 verifier first, then the construction, then every bundle of y checked
 by hand and y's report computed once more, as `ceub price` did.
+fraction_max_affordable_utility is the greedy demand oracle as it stood
+before its bang-per-buck order moved to integers: the same walk, with
+the items sorted on Rational ratios.
 No test_ prefix, so pytest does not collect this module.
 """
 
 from itertools import combinations, product
 
 from ceub.errors import (
+    DimensionMismatch,
     InfeasibleLP,
     InternalVerificationFailed,
     MalformedProblem,
     NotParetoOptimal,
+    ZeroPrice,
 )
 from ceub.generators import DEFAULT_GRID, SplitMix64
 from ceub.rationals import ONE, ZERO, rat
@@ -508,3 +513,33 @@ def eager_support_with_details(inst: Instance, y: Allocation) -> PipelineDetails
     # The report `ceub price` then computed for its output file.
     report = verify_equilibrium(inst, y, eq.prices, eq.budgets)
     return PipelineDetails(eq, state, alpha, lam, x, report)
+
+
+def fraction_max_affordable_utility(inst: Instance, prices, budget, i: int):
+    """Best utility agent i can afford: greedy fractional knapsack.
+
+    Items are bought in decreasing bang-per-buck v[i][j]/p[j] (ties by
+    ascending item index), at most one unit each, until the budget runs
+    out. For this structure the greedy optimum is exact.
+    """
+    if len(prices) != inst.item_count:
+        raise DimensionMismatch(f"{len(prices)} prices for {inst.item_count} items")
+    for j, p in enumerate(prices):
+        if p <= 0:
+            raise ZeroPrice(j)
+    budget = rat(budget)
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+    vals = inst.values[i]
+    order = sorted(range(inst.item_count), key=lambda j: (-(vals[j] / prices[j]), j))
+    remaining = budget
+    total = ZERO
+    for j in order:
+        if remaining <= 0:
+            break
+        share = remaining / prices[j]
+        if share > 1:
+            share = ONE
+        total += share * vals[j]
+        remaining -= share * prices[j]
+    return total

@@ -276,6 +276,34 @@ def test_exchange_graph_runs_only_on_failure(monkeypatch):
     assert len(calls) == 1
 
 
+def test_forest_input_is_checked_once(monkeypatch):
+    calls = []
+    real = scaling.verify_equilibrium
+
+    def counted(inst, alloc, prices, budgets):
+        calls.append(alloc)
+        return real(inst, alloc, prices, budgets)
+
+    monkeypatch.setattr(scaling, "verify_equilibrium", counted)
+    inst = validate_instance([[2, 1], [1, 2]])
+    y = make_allocation([[1, 0], [0, 1]])
+    details = support_with_details(inst, y)
+    eq = details.equilibrium
+    assert details.cycle_free is y
+    assert calls == [y]
+    assert details.report == real(inst, y, eq.prices, eq.budgets)
+
+    # A Pareto-optimal input with a cycle: x' and y are checked apart.
+    calls.clear()
+    inst = validate_instance([[1, 1], [1, 1]])
+    y = make_allocation([[HALF, HALF], [HALF, HALF]])
+    details = support_with_details(inst, y)
+    eq = details.equilibrium
+    assert details.cycle_free is not y
+    assert calls == [details.cycle_free, y]
+    assert details.report == real(inst, y, eq.prices, eq.budgets)
+
+
 def test_support_pipeline_rejects_dominated_input():
     inst = validate_instance([[2, 1], [1, 2]])
     y = make_allocation([[HALF, HALF], [HALF, HALF]])
