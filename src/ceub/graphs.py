@@ -207,13 +207,13 @@ def make_cycle_free(inst: Instance, alloc: Allocation) -> Allocation:
     returned, the same object, so callers can tell by identity that
     nothing changed.
     """
-    _check_dims(inst, alloc)
-    budget = build_graph(inst, alloc).edge_count + 1
+    g = build_graph(inst, alloc)
     current = alloc
-    for _ in range(budget):
-        cycle = find_cycle(build_graph(inst, current))
+    for _ in range(g.edge_count + 1):
+        cycle = find_cycle(g)
         if cycle is None:
             return current
         current, shift = eliminate_cycle(inst, current, cycle)
+        g = build_graph(inst, current)
         log.debug("eliminated cycle %s/%s, zeroed %s", cycle.agents, cycle.items, shift.zeroed_edge)
     raise InternalVerificationFailed("cycle elimination failed to terminate")

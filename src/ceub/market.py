@@ -184,9 +184,9 @@ def bundle_cost(bundle, prices) -> Rational:
 def max_affordable_utility(inst: Instance, prices, budget: Rational, i: int) -> Rational:
     """Best utility agent i can afford: greedy fractional knapsack.
 
-    Items are bought in decreasing bang-per-buck v[i][j]/p[j] (ties by
-    ascending item index), at most one unit each, until the budget runs
-    out. For this structure the greedy optimum is exact.
+    Items are bought whole in decreasing bang-per-buck v[i][j]/p[j] (ties
+    by ascending item index) until one costs more than the budget left,
+    which buys part of it. For this structure the greedy optimum is exact.
 
     The order is computed on ints: with v = vn/vd and p = pn/pd, the
     ratio is (vn*pd)/(vd*pn), and over L, the lcm of the vd*pn, every
@@ -213,13 +213,11 @@ def max_affordable_utility(inst: Instance, prices, budget: Rational, i: int) -> 
     remaining = budget
     total = ZERO
     for j in order:
-        if remaining <= 0:
-            break
-        share = remaining / prices[j]
-        if share > 1:
-            share = ONE
-        total += share * vals[j]
-        remaining -= share * prices[j]
+        p = prices[j]
+        if remaining < p:
+            return total + vals[j] * remaining / p
+        total += vals[j]
+        remaining -= p
     return total
 
 

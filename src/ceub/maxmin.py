@@ -11,10 +11,10 @@ Three solvers:
 * maxmin_lp: the LP max W s.t. W - u_i(x) <= 0, column sums <= 1 --
   works for any shape, exact.
 * maxmin_two_agents: n = 2, sort items by relative preference and split
-  one "median" item; O(m log m), also emits supporting prices/budgets.
+  one "median" item; O(m log m), also emits checked prices/budgets.
 * maxmin_two_items: m = 2, sort agents by relative preference and
   binary-search the one agent who splits across both items; O(log n)
-  candidate evaluations after the sort, also emits prices/budgets.
+  candidate evaluations after the sort, also emits checked prices/budgets.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .market import (
     bundle_cost,
     make_allocation,
     utility,
+    verify_equilibrium,
     verify_pareto_optimal,
 )
 from .rationals import ONE, ZERO, Rational
@@ -140,6 +141,12 @@ def _settle(inst: Instance, shares, lam) -> Allocation:
     return alloc
 
 
+def _check_support(inst: Instance, alloc: Allocation, prices, budgets) -> None:
+    report = verify_equilibrium(inst, alloc, prices, budgets)
+    if not (report.supported and report.budgets_exhausted and report.items_fully_allocated):
+        raise InternalVerificationFailed("fast-path prices and budgets do not support the allocation")
+
+
 def maxmin_two_agents(inst: Instance) -> MaxMinResult:
     """Max-min for exactly two agents, with supporting prices.
 
@@ -189,6 +196,7 @@ def maxmin_two_agents(inst: Instance) -> MaxMinResult:
 
     prices = tuple(v0)
     budgets = tuple(bundle_cost(alloc.x[i], prices) for i in range(2))
+    _check_support(inst, alloc, prices, budgets)
     return MaxMinResult(
         alloc,
         lam,
@@ -265,6 +273,7 @@ def maxmin_two_items(inst: Instance) -> MaxMinResult:
     split_agent = perm[k]
     prices = (v[split_agent][0], v[split_agent][1])
     budgets = tuple(bundle_cost(alloc.x[i], prices) for i in range(n))
+    _check_support(inst, alloc, prices, budgets)
     return MaxMinResult(
         alloc,
         w,

@@ -60,8 +60,8 @@ def decompose_forest(g: AllocationGraph) -> ForestDecomposition:
     """Group agents and items into trees, rejecting cyclic graphs.
 
     Every item must be held by at least one agent (OrphanItem
-    otherwise), so each tree contains an agent and the numbering by
-    lowest agent index is well defined.
+    otherwise), so each tree contains an agent; agents open trees in
+    ascending order, so trees come out numbered by their lowest agent.
     """
     n, m = g.agent_count, g.item_count
     for j in range(m):
@@ -101,15 +101,13 @@ def decompose_forest(g: AllocationGraph) -> ForestDecomposition:
         tree_agents.append(tuple(sorted(agents)))
         tree_items.append(tuple(sorted(items)))
 
-    order = sorted(range(len(tree_agents)), key=lambda t: tree_agents[t][0])
-    rank = {old: new for new, old in enumerate(order)}
     return ForestDecomposition(
-        tree_count=len(order),
-        tree_of_agent=tuple(rank[t] for t in tree_of_agent),
-        tree_of_item=tuple(rank[t] for t in tree_of_item),
-        tree_agents=tuple(tree_agents[t] for t in order),
-        tree_items=tuple(tree_items[t] for t in order),
-        roots=tuple(tree_agents[t][0] for t in order),
+        tree_count=len(tree_agents),
+        tree_of_agent=tuple(tree_of_agent),
+        tree_of_item=tuple(tree_of_item),
+        tree_agents=tuple(tree_agents),
+        tree_items=tuple(tree_items),
+        roots=tuple(agents[0] for agents in tree_agents),
     )
 
 

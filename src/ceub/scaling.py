@@ -11,12 +11,13 @@ Two routes to the factors live here side by side:
 * a closed form (the constructive path): the least solution of the
   difference constraints between trees, by multiplicative
   Bellman-Ford, and
-* the per-pair GAIN quantity with its fixed-point map F (the
-  verification oracle: at a correct alpha every gain is zero and
+* the per-pair GAIN quantity with its fixed-point map F (an
+  independent check: at a correct alpha every gain is zero and
   F(alpha) = alpha exactly).
 
-The closed form computes; GAIN checks. Both are kept because agreeing
-answers from independent routes is the whole point of exact arithmetic.
+The closed form computes; GAIN is the independent check that the tests
+run on the pipeline's output. It is not run per call: at prices that
+pass the demand oracle on the cycle-free allocation, every gain is zero.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .market import (
     Allocation,
     EquilibriumReport,
     Instance,
+    bundle_cost,
+    bundle_utility,
     max_product_paths,
     verify_equilibrium,
     verify_pareto_optimal,
@@ -257,19 +260,11 @@ def solve_multiplier_lp(state: GainState):
 
 
 def assemble_equilibrium(state: GainState, alpha) -> Equilibrium:
-    """Scale prices and budgets by alpha and verify the result.
+    """Scale each tree's prices and budgets by its multiplier in alpha.
 
-    Verification is internal and unconditional: the scaled pair must
-    support the cycle-free allocation under the demand oracle, and the
-    gain table at alpha must be identically zero. Failure of either
-    check is a pipeline bug, not a property of the input.
+    alpha is validated (ValueError); the result is not checked here, but
+    by support_with_details, once, on y.
     """
-    return _assemble(state, alpha)[0]
-
-
-def _assemble(state: GainState, alpha) -> tuple:
-    """assemble_equilibrium, also returning the demand-oracle report on
-    the cycle-free allocation: (Equilibrium, EquilibriumReport)."""
     _check_alpha(state, alpha)
     decomp = state.decomp
     prices = tuple(
@@ -280,14 +275,7 @@ def _assemble(state: GainState, alpha) -> tuple:
         state.pricing.budgets[i] * alpha[decomp.tree_of_agent[i]]
         for i in range(state.inst.agent_count)
     )
-    report = verify_equilibrium(state.inst, state.alloc, prices, budgets)
-    if not report.supported:
-        raise InternalVerificationFailed(
-            "scaled prices fail the demand oracle on the cycle-free allocation"
-        )
-    if not build_gain_table(state, alpha).all_zero:
-        raise InternalVerificationFailed("gain table is nonzero at the solved multipliers")
-    return Equilibrium(prices, budgets, tuple(alpha), state.alloc, decomp), report
+    return Equilibrium(prices, budgets, tuple(alpha), state.alloc, decomp)
 
 
 def _raise_if_not_pareto_optimal(inst: Instance, y: Allocation) -> None:
@@ -310,25 +298,31 @@ def _raise_if_not_pareto_optimal(inst: Instance, y: Allocation) -> None:
 
 
 def support_with_details(inst: Instance, y: Allocation) -> PipelineDetails:
-    """support_pipeline, returning every intermediate for auditing."""
+    """support_pipeline, returning every intermediate for auditing; the
+    report is the demand oracle's one pass, on y."""
     try:
         x = make_cycle_free(inst, y)
         state = build_gain_state(inst, x)
         alpha, lam = solve_multiplier_lp(state)
-        eq, report = _assemble(state, alpha)
+        eq = assemble_equilibrium(state, alpha)
     except (NotParetoOptimal, OrphanItem, InternalVerificationFailed) as exc:
         _raise_if_not_pareto_optimal(inst, y)
         raise InternalVerificationFailed(f"Pareto-optimal input, yet: {exc}") from exc
     # First Welfare Theorem: positive prices that support y, with every
     # budget spent and every item sold, make y Pareto optimal. So this
     # one check certifies y; the exchange graph only explains a failure.
-    # When G(y) is already a forest, x is y and the construction's check
-    # of x at these prices and budgets is this check of y.
-    if x is not y:
-        report = verify_equilibrium(inst, y, eq.prices, eq.budgets)
+    # Its optima judge x' too: x' is demanded iff each bundle is affordable
+    # and worth the optimum, and then every gain is zero, so none is built.
+    report = verify_equilibrium(inst, y, eq.prices, eq.budgets)
     if not (report.supported and report.budgets_exhausted and report.items_fully_allocated):
         _raise_if_not_pareto_optimal(inst, y)
         raise InternalVerificationFailed("the prices do not support the original allocation")
+    for i, row in enumerate(x.x):
+        optimum = report.reports[i].optimal_utility
+        if bundle_cost(row, eq.prices) > eq.budgets[i] or bundle_utility(inst, row, i) != optimum:
+            raise InternalVerificationFailed(
+                "scaled prices fail the demand oracle on the cycle-free allocation"
+            )
     return PipelineDetails(eq, state, alpha, lam, x, report)
 
 
@@ -336,9 +330,9 @@ def support_pipeline(inst: Instance, y: Allocation) -> Equilibrium:
     """Prices and budgets supporting a Pareto-optimal allocation y.
 
     Remove graph cycles without touching utilities, price each tree from
-    its root, scale trees by the closed-form multipliers, verify that the
-    result supports the cycle-free transform, then check y itself once
-    (when the transform is y, that verification was the check of y).
+    its root, scale trees by the closed-form multipliers, then check y
+    once with the demand oracle and read the check of the cycle-free
+    transform off that report.
 
     Raises NotParetoOptimal, with the exchange-graph verifier's verdict,
     if the construction or the check of y fails and y is not Pareto

@@ -12,10 +12,14 @@ max-min LP with its agent rows written as ">= 0", which needs phase 1.
 eager_support_with_details is the pricing pipeline as it stood before
 the equilibrium became the Pareto certificate: the exchange-graph
 verifier first, then the construction, then every bundle of y checked
-by hand and y's report computed once more, as `ceub price` did.
+by hand and y's report computed once more, as `ceub price` did. Its
+construction runs checked_assemble_equilibrium, which puts the
+cycle-free allocation through the demand oracle and the gain table as
+assemble_equilibrium once did on every call.
 fraction_max_affordable_utility is the greedy demand oracle as it stood
-before its bang-per-buck order moved to integers: the same walk, with
-the items sorted on Rational ratios.
+before its bang-per-buck order moved to integers and its walk to whole
+units: the items sorted on Rational ratios, and every purchase a share
+min(1, remaining / price) of its item.
 No test_ prefix, so pytest does not collect this module.
 """
 
@@ -54,9 +58,11 @@ from ceub.market import (
     verify_pareto_optimal,
 )
 from ceub.scaling import (
+    Equilibrium,
     PipelineDetails,
     assemble_equilibrium,
     build_gain_state,
+    build_gain_table,
     solve_multiplier_lp,
 )
 
@@ -479,6 +485,25 @@ def _fraction_expel_artificials(tableau, basis, art_start, total):
         r += 1
 
 
+def checked_assemble_equilibrium(state, alpha) -> Equilibrium:
+    """assemble_equilibrium as it stood while it checked its own result.
+
+    The scaled pair must support the cycle-free allocation under the
+    demand oracle, and the gain table at alpha must be identically zero.
+    Failure of either check is a pipeline bug, not a property of the
+    input.
+    """
+    eq = assemble_equilibrium(state, alpha)
+    report = verify_equilibrium(state.inst, state.alloc, eq.prices, eq.budgets)
+    if not report.supported:
+        raise InternalVerificationFailed(
+            "scaled prices fail the demand oracle on the cycle-free allocation"
+        )
+    if not build_gain_table(state, alpha).all_zero:
+        raise InternalVerificationFailed("gain table is nonzero at the solved multipliers")
+    return eq
+
+
 def eager_support_with_details(inst: Instance, y: Allocation) -> PipelineDetails:
     """support_pipeline, returning every intermediate for auditing."""
     verdict = verify_pareto_optimal(inst, y)
@@ -498,7 +523,7 @@ def eager_support_with_details(inst: Instance, y: Allocation) -> PipelineDetails
     x = make_cycle_free(inst, y)
     state = build_gain_state(inst, x)
     alpha, lam = solve_multiplier_lp(state)
-    eq = assemble_equilibrium(state, alpha)
+    eq = checked_assemble_equilibrium(state, alpha)
     # The same prices and budgets must support the original allocation:
     # its bundles cost exactly the budgets and sit in the demand sets.
     for i in range(inst.agent_count):

@@ -1,8 +1,10 @@
 """The integer bang-per-buck order against the Rational one it replaced.
 
 market.max_affordable_utility sorts items on integer numerators over a
-common denominator; tests/oracles.py keeps the greedy that sorted on
-Rational ratios as fraction_max_affordable_utility. Both must return the
+common denominator and buys whole units until the last, partial one;
+tests/oracles.py keeps the greedy that sorted on Rational ratios and
+bought a Rational share of every item as
+fraction_max_affordable_utility. Both must return the
 same utility, and is_in_demand_set must return the same report with
 either one. Markets have 1-10 agents and 1-10 items, values and prices
 spanning 1/10**6 to 10**6, prices that are all Python ints, and prices

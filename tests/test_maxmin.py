@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from ceub.errors import WrongAgentCount, WrongItemCount
+from ceub import maxmin
+from ceub.errors import InternalVerificationFailed, WrongAgentCount, WrongItemCount
 from ceub.generators import GenConfig, gen_instance
 from ceub.market import make_allocation, utility, validate_instance, verify_equilibrium
 from ceub.maxmin import (
@@ -181,6 +182,17 @@ def test_two_items_agrees_with_lp_within_probe_budget():
         assert fast.split.index in range(n)
         xk0, xk1 = fast.split.fraction
         assert 0 <= xk0 <= 1 and 0 <= xk1 <= 1
+
+
+def test_fast_paths_check_their_prices(monkeypatch):
+    # A budget one token above its bundle's cost is not spent, and buys
+    # more than the bundle: neither fast path may return it.
+    real = maxmin.bundle_cost
+    monkeypatch.setattr(maxmin, "bundle_cost", lambda bundle, prices: real(bundle, prices) + 1)
+    with pytest.raises(InternalVerificationFailed):
+        maxmin_two_agents(validate_instance([[2, 1, 3], [1, 2, 1]]))
+    with pytest.raises(InternalVerificationFailed):
+        maxmin_two_items(validate_instance([[2, 1], [1, 2], [3, 1]]))
 
 
 # -------------------------------------------------------- characterization

@@ -7,11 +7,12 @@ hand-sized fixtures and on generated instances.
 
 import logging
 import random
+from dataclasses import replace
 
 import pytest
 
 from ceub import scaling
-from ceub.errors import InfeasibleLP, NotParetoOptimal, SameTree
+from ceub.errors import InfeasibleLP, InternalVerificationFailed, NotParetoOptimal, SameTree
 from ceub.generators import GenConfig, gen_instance, gen_pareto_allocation
 from ceub.graphs import build_graph, find_cycle
 from ceub.market import (
@@ -278,13 +279,20 @@ def test_exchange_graph_runs_only_on_failure(monkeypatch):
 
 def test_forest_input_is_checked_once(monkeypatch):
     calls = []
+    gains = []
     real = scaling.verify_equilibrium
+    real_gains = scaling.build_gain_table
 
     def counted(inst, alloc, prices, budgets):
         calls.append(alloc)
         return real(inst, alloc, prices, budgets)
 
+    def counted_gains(state, alpha):
+        gains.append(alpha)
+        return real_gains(state, alpha)
+
     monkeypatch.setattr(scaling, "verify_equilibrium", counted)
+    monkeypatch.setattr(scaling, "build_gain_table", counted_gains)
     inst = validate_instance([[2, 1], [1, 2]])
     y = make_allocation([[1, 0], [0, 1]])
     details = support_with_details(inst, y)
@@ -293,15 +301,39 @@ def test_forest_input_is_checked_once(monkeypatch):
     assert calls == [y]
     assert details.report == real(inst, y, eq.prices, eq.budgets)
 
-    # A Pareto-optimal input with a cycle: x' and y are checked apart.
+    # A Pareto-optimal input with a cycle: only y meets the oracle; x' is
+    # checked against y's report.
     calls.clear()
     inst = validate_instance([[1, 1], [1, 1]])
     y = make_allocation([[HALF, HALF], [HALF, HALF]])
     details = support_with_details(inst, y)
     eq = details.equilibrium
     assert details.cycle_free is not y
-    assert calls == [details.cycle_free, y]
+    assert calls == [y]
     assert details.report == real(inst, y, eq.prices, eq.budgets)
+    assert gains == []  # neither input builds a gain table
+
+
+def test_transform_is_checked_against_the_report_on_y(monkeypatch):
+    # y's report credits agent 0 with one more unit of utility than x'
+    # gives it, so x' is no longer demanded and the pipeline must say so.
+    real = scaling.verify_equilibrium
+
+    def inflated(inst, alloc, prices, budgets):
+        report = real(inst, alloc, prices, budgets)
+        first = report.reports[0]
+        bumped = replace(
+            first,
+            achieved_utility=first.achieved_utility + 1,
+            optimal_utility=first.optimal_utility + 1,
+        )
+        return replace(report, reports=(bumped,) + report.reports[1:])
+
+    monkeypatch.setattr(scaling, "verify_equilibrium", inflated)
+    inst = validate_instance([[1, 1], [1, 1]])
+    y = make_allocation([[HALF, HALF], [HALF, HALF]])
+    with pytest.raises(InternalVerificationFailed, match="cycle-free allocation"):
+        support_with_details(inst, y)
 
 
 def test_support_pipeline_rejects_dominated_input():
