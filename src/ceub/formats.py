@@ -3,8 +3,15 @@
 Every rational is serialized as a lowest-terms string "num/den" (plain
 "k" for integers) and every reader rejects anything else, so a value
 survives any number of read/write cycles unchanged. Writers emit a
-fixed field order with two-space indentation and a trailing newline;
-parse-then-print is the identity on canonical documents.
+fixed field order with two-space indentation and a trailing newline,
+byte for byte what ``json.dumps(doc, indent=2)`` writes, through a
+small direct emitter (json.dumps takes its pure-Python encoder whenever
+it indents); parse-then-print is the identity on canonical documents.
+
+Readers parse each distinct literal of a document once: a per-document
+table maps literal text to its Rational, and most cells of a real
+allocation repeat a handful of literals (0, 1, a few shares). A field
+path for an error message is built only when an entry fails.
 
 Schema names are versioned ("ceub.instance/1" and friends). Readers
 raise SchemaError naming the offending field path for any structural
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .errors import CeubError, SchemaError
 from .market import Allocation, DemandReport, Instance, make_allocation, validate_instance
@@ -61,25 +69,43 @@ def _fmt(value) -> str:
     return format_rational(value)
 
 
-def _parse(node, path: str):
+class _Literals(dict):
+    """One document's literal text -> Rational, filled on first sight.
+
+    A lookup of anything that is not a well-formed literal raises
+    (TypeError when unhashable, ValueError otherwise) and stores nothing.
+    """
+
+    def __missing__(self, text):
+        value = self[text] = parse_rational(text)
+        return value
+
+
+def _parse(node, path: str, literals: _Literals):
     if not isinstance(node, str):
         raise SchemaError(f"expected a rational string, got {type(node).__name__}", path)
     try:
-        return parse_rational(node)
+        return literals[node]
     except ValueError as e:
         raise SchemaError(str(e), path) from None
 
 
-def _parse_vector(node, path: str, length: int) -> tuple:
+def _parse_vector(node, path: str, length: int, literals: _Literals) -> tuple:
     if not isinstance(node, list) or len(node) != length:
         raise SchemaError(f"expected a list of {length} rationals", path)
-    return tuple(_parse(v, f"{path}[{k}]") for k, v in enumerate(node))
+    try:
+        return tuple(map(literals.__getitem__, node))
+    except (TypeError, ValueError):
+        # Find the first bad entry again, with its path, for the message.
+        for k, v in enumerate(node):
+            _parse(v, f"{path}[{k}]", literals)
+        raise
 
 
-def _parse_matrix(node, path: str, rows: int, cols: int) -> tuple:
+def _parse_matrix(node, path: str, rows: int, cols: int, literals: _Literals) -> tuple:
     if not isinstance(node, list) or len(node) != rows:
         raise SchemaError(f"expected {rows} rows", path)
-    return tuple(_parse_vector(r, f"{path}[{i}]", cols) for i, r in enumerate(node))
+    return tuple([_parse_vector(r, f"{path}[{i}]", cols, literals) for i, r in enumerate(node)])
 
 
 def _decode(text: str, schema: str) -> dict:
@@ -105,8 +131,35 @@ def _counts(doc: dict) -> tuple:
     return doc["agents"], doc["items"]
 
 
+def _encode(node, newline: str) -> str:
+    """node as json.dumps(node, indent=2) writes it on a line that starts
+    with newline (a line break and the current indentation)."""
+    if type(node) is str:
+        return encode_basestring_ascii(node)
+    if node is None:
+        return "null"
+    if node is True:
+        return "true"
+    if node is False:
+        return "false"
+    if type(node) is int:
+        return str(node)
+    inner = newline + "  "
+    if type(node) is list:
+        if not node:
+            return "[]"
+        items = [encode_basestring_ascii(v) if type(v) is str else _encode(v, inner) for v in node]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if type(node) is dict:
+        if not node:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in node.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"cannot write {type(node).__name__} to a document")
+
+
 def _emit(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return _encode(doc, "\n") + "\n"
 
 
 def dump_instance(inst: Instance) -> str:
@@ -123,7 +176,7 @@ def dump_instance(inst: Instance) -> str:
 def load_instance(text: str) -> Instance:
     doc = _decode(text, INSTANCE_SCHEMA)
     n, m = _counts(doc)
-    values = _parse_matrix(doc.get("values"), "values", n, m)
+    values = _parse_matrix(doc.get("values"), "values", n, m, _Literals())
     try:
         return validate_instance(values)
     except CeubError as e:
@@ -144,7 +197,7 @@ def dump_allocation(alloc: Allocation) -> str:
 def load_allocation(text: str) -> Allocation:
     doc = _decode(text, ALLOCATION_SCHEMA)
     n, m = _counts(doc)
-    shares = _parse_matrix(doc.get("shares"), "shares", n, m)
+    shares = _parse_matrix(doc.get("shares"), "shares", n, m, _Literals())
     try:
         return make_allocation(shares)
     except CeubError as e:
@@ -195,18 +248,21 @@ def _parse_tree_map(node, path: str, length: int, tree_count: int) -> tuple:
 def load_equilibrium(text: str) -> EquilibriumDoc:
     doc = _decode(text, EQUILIBRIUM_SCHEMA)
     n, m = _counts(doc)
-    prices = _parse_vector(doc.get("prices"), "prices", m)
-    budgets = _parse_vector(doc.get("budgets"), "budgets", n)
+    literals = _Literals()
+    prices = _parse_vector(doc.get("prices"), "prices", m, literals)
+    budgets = _parse_vector(doc.get("budgets"), "budgets", n, literals)
     alpha_node = doc.get("alpha")
     if not isinstance(alpha_node, list) or not alpha_node:
         raise SchemaError("expected a nonempty list of rationals", "alpha")
-    alpha = tuple(_parse(a, f"alpha[{k}]") for k, a in enumerate(alpha_node))
+    alpha = _parse_vector(alpha_node, "alpha", len(alpha_node), literals)
     trees = doc.get("trees")
     if not isinstance(trees, dict):
         raise SchemaError("expected an object with of_agent/of_item", "trees")
     of_agent = _parse_tree_map(trees.get("of_agent"), "trees.of_agent", n, len(alpha))
     of_item = _parse_tree_map(trees.get("of_item"), "trees.of_item", m, len(alpha))
-    cycle_free = _parse_matrix(doc.get("cycle_free_allocation"), "cycle_free_allocation", n, m)
+    cycle_free = _parse_matrix(
+        doc.get("cycle_free_allocation"), "cycle_free_allocation", n, m, literals
+    )
     ver = doc.get("verification")
     if not isinstance(ver, dict) or not isinstance(ver.get("agents"), list):
         raise SchemaError("expected an object with an agents list", "verification")
@@ -220,15 +276,11 @@ def load_equilibrium(text: str) -> EquilibriumDoc:
             raise SchemaError(f"expected report for agent {k}", path)
         if not isinstance(row.get("in_demand_set"), bool):
             raise SchemaError("expected a boolean", f"{path}.in_demand_set")
-        reports.append(
-            DemandReport(
-                agent=k,
-                achieved_utility=_parse(row.get("achieved_utility"), f"{path}.achieved_utility"),
-                optimal_utility=_parse(row.get("optimal_utility"), f"{path}.optimal_utility"),
-                spend=_parse(row.get("spend"), f"{path}.spend"),
-                in_demand_set=row["in_demand_set"],
-            )
+        achieved, optimal, spend = (
+            _parse(row.get(key), f"{path}.{key}", literals)
+            for key in ("achieved_utility", "optimal_utility", "spend")
         )
+        reports.append(DemandReport(k, achieved, optimal, spend, row["in_demand_set"]))
     for key in ("items_fully_allocated", "budgets_exhausted"):
         if not isinstance(ver.get(key), bool):
             raise SchemaError("expected a boolean", f"verification.{key}")
@@ -262,10 +314,13 @@ def dump_maxmin(doc: MaxminDoc) -> str:
 def load_maxmin(text: str) -> MaxminDoc:
     doc = _decode(text, MAXMIN_SCHEMA)
     n, m = _counts(doc)
-    lam = _parse(doc.get("lam"), "lam")
-    shares = _parse_matrix(doc.get("shares"), "shares", n, m)
-    prices = None if doc.get("prices") is None else _parse_vector(doc["prices"], "prices", m)
-    budgets = None if doc.get("budgets") is None else _parse_vector(doc["budgets"], "budgets", n)
+    literals = _Literals()
+    lam = _parse(doc.get("lam"), "lam", literals)
+    shares = _parse_matrix(doc.get("shares"), "shares", n, m, literals)
+    prices, budgets = (
+        None if doc.get(key) is None else _parse_vector(doc[key], key, size, literals)
+        for key, size in (("prices", m), ("budgets", n))
+    )
     if (prices is None) != (budgets is None):
         raise SchemaError("prices and budgets must be present together", "budgets")
     return MaxminDoc(lam=lam, shares=shares, prices=prices, budgets=budgets)

@@ -15,7 +15,7 @@ import logging
 from dataclasses import dataclass
 
 from .errors import InternalVerificationFailed, NotParetoOptimal
-from .market import Allocation, Instance, _check_dims, make_allocation
+from .market import Allocation, Instance, _check_dims
 from .rationals import ONE, Rational
 
 log = logging.getLogger(__name__)
@@ -184,15 +184,20 @@ def eliminate_cycle(inst: Instance, alloc: Allocation, cycle: SimpleCycle):
         if eps0 is None or bound < eps0:
             eps0 = bound
             zero_at = t
-    # Each item's column sum is unchanged by the shift, so the increased
-    # entries stay <= 1 automatically once the decreased ones stay >= 0.
     epsilons = tuple(eps0 * c for c in chain)
 
+    # Only the 2k cycle entries change, and each item's column sum is
+    # unchanged by the shift, so the result is built directly and only
+    # the changed entries are checked against the box.
     rows = [list(row) for row in alloc.x]
     for t in range(k):
-        rows[agents[t]][items[t]] += epsilons[t]
-        rows[agents[(t + 1) % k]][items[t]] -= epsilons[t]
-    result = make_allocation(rows)
+        j = items[t]
+        for a, delta in ((agents[t], epsilons[t]), (agents[(t + 1) % k], -epsilons[t])):
+            share = rows[a][j] + delta
+            if share < 0 or share > 1:
+                raise InternalVerificationFailed(f"cycle shift moved x[{a}][{j}] to {share}")
+            rows[a][j] = share
+    result = Allocation(tuple(map(tuple, rows)))
     zeroed = (agents[(zero_at + 1) % k], items[zero_at])
     if result.x[zeroed[0]][zeroed[1]] != 0:
         raise InternalVerificationFailed("chosen edge did not reach zero")

@@ -138,21 +138,31 @@ def validate_instance(raw_valuations) -> Instance:
 
 
 def make_allocation(raw_shares) -> Allocation:
-    """Build an Allocation, enforcing the box and supply constraints."""
-    rows = [tuple(rat(v) for v in row) for row in raw_shares]
+    """Build an Allocation, enforcing the box and supply constraints.
+
+    A share num/den (den > 0) lies in [0, 1] iff 0 <= num <= den, so the
+    box is checked on ints; a column is summed only over its nonzero
+    shares, and not at all when it has at most one.
+    """
+    rows = [tuple(map(rat, row)) for row in raw_shares]
     if not rows or not rows[0]:
         raise EmptyMatrix("an allocation needs at least one agent and one item")
     width = len(rows[0])
+    held = [[] for _ in range(width)]  # per item: its nonzero shares
     for i, row in enumerate(rows):
         if len(row) != width:
             raise DimensionMismatch(f"allocation row {i} has {len(row)} entries, expected {width}")
         for j, v in enumerate(row):
-            if v < 0 or v > 1:
-                raise DimensionMismatch(f"share x[{i}][{j}] = {v} outside [0, 1]")
-    for j in range(width):
-        total = sum((row[j] for row in rows), ZERO)
-        if total > 1:
-            raise DimensionMismatch(f"item {j} is over-allocated: column sum {total} > 1")
+            num = v.numerator
+            if num:
+                if num < 0 or num > v.denominator:
+                    raise DimensionMismatch(f"share x[{i}][{j}] = {v} outside [0, 1]")
+                held[j].append(v)
+    for j, shares in enumerate(held):
+        if len(shares) > 1:
+            total = sum(shares, ZERO)
+            if total > 1:
+                raise DimensionMismatch(f"item {j} is over-allocated: column sum {total} > 1")
     return Allocation(tuple(rows))
 
 
@@ -188,43 +198,59 @@ def max_affordable_utility(inst: Instance, prices, budget: Rational, i: int) -> 
     by ascending item index) until one costs more than the budget left,
     which buys part of it. For this structure the greedy optimum is exact.
 
-    The order is computed on ints: with v = vn/vd and p = pn/pd, the
-    ratio is (vn*pd)/(vd*pn), and over L, the lcm of the vd*pn, every
-    ratio becomes an integer numerator vn*pd*(L // (vd*pn)) that sorts
-    exactly as the rational ratio does. The components are read through
-    int(), so prices may be ints or either backend's rationals.
+    The whole computation runs on ints and builds one Rational at the
+    end. With v = vn/vd and p = pn/pd, the ratio is (vn*pd)/(vd*pn), and
+    over L, the lcm of the vd*pn, every ratio becomes an integer
+    numerator vn*pd*(L // (vd*pn)) that sorts exactly as the rational
+    ratio does. The walk counts prices and budget in units of 1/P, P the
+    lcm of their denominators, and values in units of 1/V, V the lcm of
+    the value denominators, so each purchase is an int add, subtract and
+    compare. Signs are checked on numerators. The components are read
+    through int(), so prices may be ints or either backend's rationals.
     """
-    if len(prices) != inst.item_count:
-        raise DimensionMismatch(f"{len(prices)} prices for {inst.item_count} items")
-    for j, p in enumerate(prices):
-        if p <= 0:
+    m = inst.item_count
+    if len(prices) != m:
+        raise DimensionMismatch(f"{len(prices)} prices for {m} items")
+    pn = [int(p.numerator) for p in prices]
+    pd = [int(p.denominator) for p in prices]
+    for j, num in enumerate(pn):
+        if num <= 0:
             raise ZeroPrice(j)
     budget = rat(budget)
-    if budget < 0:
+    bn, bd = int(budget.numerator), int(budget.denominator)
+    if bn < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     vals = inst.values[i]
-    nums = []
-    dens = []
-    for v, p in zip(vals, prices):
-        nums.append(int(v.numerator) * int(p.denominator))
-        dens.append(int(v.denominator) * int(p.numerator))
+    vn = [int(v.numerator) for v in vals]
+    vd = [int(v.denominator) for v in vals]
+
+    dens = [d * n for d, n in zip(vd, pn)]
     common = lcm(*dens)
-    order = sorted(range(inst.item_count), key=lambda j: (-(nums[j] * (common // dens[j])), j))
-    remaining = budget
-    total = ZERO
+    keys = [vn[j] * pd[j] * (common // dens[j]) for j in range(m)]
+    # A stable sort keeps equal keys in index order, also when reversed.
+    order = sorted(range(m), key=keys.__getitem__, reverse=True)
+
+    price_unit = lcm(bd, *pd)
+    value_unit = lcm(*vd)
+    remaining = bn * (price_unit // bd)
+    total = 0
     for j in order:
-        p = prices[j]
-        if remaining < p:
-            return total + vals[j] * remaining / p
-        total += vals[j]
-        remaining -= p
-    return total
+        cost = pn[j] * (price_unit // pd[j])
+        worth = vn[j] * (value_unit // vd[j])
+        if remaining < cost:
+            # total + worth * remaining / cost, over value_unit
+            return Rational(total * cost + worth * remaining, value_unit * cost)
+        total += worth
+        remaining -= cost
+    return Rational(total, value_unit)
 
 
 def is_in_demand_set(inst: Instance, prices, budget: Rational, i: int, bundle) -> DemandReport:
     """Check one bundle against agent i's demand set at (prices, budget)."""
     if len(bundle) != inst.item_count:
         raise DimensionMismatch(f"bundle has {len(bundle)} entries for {inst.item_count} items")
+    if len(prices) != inst.item_count:
+        raise DimensionMismatch(f"{len(prices)} prices for {inst.item_count} items")
     bundle = tuple(rat(z) for z in bundle)
     budget = rat(budget)
     spend = bundle_cost(bundle, prices)

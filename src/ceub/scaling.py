@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InfeasibleLP, InternalVerificationFailed, NotParetoOptimal, OrphanItem, SameTree
 from .graphs import make_cycle_free
@@ -63,7 +64,11 @@ class GainState:
     alloc: Allocation
     decomp: ForestDecomposition
     pricing: TreePricing
-    v_min: Rational
+
+    @cached_property
+    def v_min(self) -> Rational:
+        # Read only by gain_ij, which the pipeline does not run.
+        return min(v for row in self.inst.values for v in row) / 2
 
 
 @dataclass(frozen=True)
@@ -116,8 +121,7 @@ class PipelineDetails:
 def build_gain_state(inst: Instance, alloc: Allocation) -> GainState:
     """Price a cycle-free allocation and package it for the gain oracle."""
     decomp, pricing = price_forest(inst, alloc)
-    v_min = min(v for row in inst.values for v in row) / 2
-    return GainState(inst, alloc, decomp, pricing, v_min)
+    return GainState(inst, alloc, decomp, pricing)
 
 
 def gain_ij(state: GainState, alpha, i: int, j: int) -> Rational:
@@ -313,16 +317,18 @@ def support_with_details(inst: Instance, y: Allocation) -> PipelineDetails:
     # one check certifies y; the exchange graph only explains a failure.
     # Its optima judge x' too: x' is demanded iff each bundle is affordable
     # and worth the optimum, and then every gain is zero, so none is built.
+    # When x is y, the report has already made that test on the same rows.
     report = verify_equilibrium(inst, y, eq.prices, eq.budgets)
     if not (report.supported and report.budgets_exhausted and report.items_fully_allocated):
         _raise_if_not_pareto_optimal(inst, y)
         raise InternalVerificationFailed("the prices do not support the original allocation")
-    for i, row in enumerate(x.x):
-        optimum = report.reports[i].optimal_utility
-        if bundle_cost(row, eq.prices) > eq.budgets[i] or bundle_utility(inst, row, i) != optimum:
-            raise InternalVerificationFailed(
-                "scaled prices fail the demand oracle on the cycle-free allocation"
-            )
+    if x is not y:
+        for i, row in enumerate(x.x):
+            affordable = bundle_cost(row, eq.prices) <= eq.budgets[i]
+            if not affordable or bundle_utility(inst, row, i) != report.reports[i].optimal_utility:
+                raise InternalVerificationFailed(
+                    "scaled prices fail the demand oracle on the cycle-free allocation"
+                )
     return PipelineDetails(eq, state, alpha, lam, x, report)
 
 

@@ -20,9 +20,12 @@ fraction_max_affordable_utility is the greedy demand oracle as it stood
 before its bang-per-buck order moved to integers and its walk to whole
 units: the items sorted on Rational ratios, and every purchase a share
 min(1, remaining / price) of its item.
+json_reference is the document writer as it stood before formats got
+its own emitter: json.dumps with two-space indentation.
 No test_ prefix, so pytest does not collect this module.
 """
 
+import json
 from itertools import combinations, product
 
 from ceub.errors import (
@@ -568,3 +571,8 @@ def fraction_max_affordable_utility(inst: Instance, prices, budget, i: int):
         total += share * vals[j]
         remaining -= share * prices[j]
     return total
+
+
+def json_reference(doc) -> str:
+    """A document as json.dumps writes it, with the trailing newline."""
+    return json.dumps(doc, indent=2) + "\n"

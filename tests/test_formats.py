@@ -169,6 +169,30 @@ def test_parse_error_names_the_field():
     assert "values[1]" in str(info.value)
 
 
+def thirds_allocation_doc():
+    # Every cell of the 3x2 allocation repeats one literal, "1/3".
+    return json.loads(dump_allocation(make_allocation([[rat(1, 3)] * 2] * 3)))
+
+
+def test_bad_literal_after_repeated_good_ones_names_its_own_path():
+    for bad in ("1/x", "1/0", "-1/3 ", "1/3/"):
+        doc = thirds_allocation_doc()
+        doc["shares"][2][1] = bad
+        with pytest.raises(SchemaError) as info:
+            load_allocation(json.dumps(doc))
+        assert info.value.path == "shares[2][1]"
+
+
+@pytest.mark.parametrize("entry", [1, True, None, 0.5, ["1/3"], {"1/3": "1/3"}])
+def test_non_string_entry_is_rejected_after_repeated_good_ones(entry):
+    doc = thirds_allocation_doc()
+    doc["shares"][1][0] = entry
+    with pytest.raises(SchemaError) as info:
+        load_allocation(json.dumps(doc))
+    assert info.value.path == "shares[1][0]"
+    assert f"expected a rational string, got {type(entry).__name__}" in str(info.value)
+
+
 def test_load_rejects_semantic_violations():
     # schema-valid numbers that violate model constraints still fail parse
     with pytest.raises(SchemaError):

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from ceub.errors import NotParetoOptimal
+from ceub.errors import InternalVerificationFailed, NotParetoOptimal
 from ceub.graphs import SimpleCycle, build_graph, eliminate_cycle, find_cycle, make_cycle_free
-from ceub.market import make_allocation, utility, validate_instance
+from ceub.market import Allocation, make_allocation, utility, validate_instance
 from ceub.rationals import rat
 
 HALF = rat(1, 2)
@@ -105,6 +105,15 @@ def test_eliminate_cycle_rejects_malformed_cycles():
     sparse = make_allocation([[1, HALF], [0, HALF]])
     with pytest.raises(ValueError):
         eliminate_cycle(inst, sparse, SimpleCycle(agents=(0, 1), items=(0, 1)))
+
+
+def test_eliminate_cycle_checks_the_changed_shares():
+    # Built without make_allocation, so both columns hold 2: pushing the
+    # chain until x[1][0] reaches zero raises x[0][0] to 2.
+    inst = validate_instance([[1, 1], [1, 1]])
+    overfull = Allocation(((rat(1), rat(1)), (rat(1), rat(1))))
+    with pytest.raises(InternalVerificationFailed, match=r"x\[0\]\[0\]"):
+        eliminate_cycle(inst, overfull, SimpleCycle(agents=(0, 1), items=(0, 1)))
 
 
 def test_make_cycle_free_leaves_forests_alone():

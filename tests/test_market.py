@@ -121,6 +121,16 @@ def test_max_affordable_input_checks():
         max_affordable_utility(inst, (2,), 3, 0)
 
 
+def test_short_price_vector_is_a_dimension_mismatch():
+    # Each bundle holds item 1, which has no price.
+    inst = validate_instance([[4, 1], [1, 4]])
+    alloc = make_allocation([[0, 1], [1, 0]])
+    with pytest.raises(DimensionMismatch):
+        is_in_demand_set(inst, (2,), 3, 0, (0, 1))
+    with pytest.raises(DimensionMismatch):
+        verify_equilibrium(inst, alloc, (2,), (2, 2))
+
+
 def test_demand_set_membership():
     inst = validate_instance([[4, 1]])
     report = is_in_demand_set(inst, (2, 1), 3, 0, (rat(1, 2), 1))

@@ -336,6 +336,19 @@ def test_transform_is_checked_against_the_report_on_y(monkeypatch):
         support_with_details(inst, y)
 
 
+def test_forest_input_is_not_checked_twice(monkeypatch):
+    # y is already a forest, so x' is y and y's report is its check.
+    def recheck(*args):
+        raise AssertionError("the cycle-free allocation was checked again")
+
+    monkeypatch.setattr(scaling, "bundle_cost", recheck)
+    inst = validate_instance([[2, 1], [1, 2]])
+    y = make_allocation([[1, 0], [0, 1]])
+    details = support_with_details(inst, y)
+    assert details.cycle_free is y
+    assert details.report.supported
+
+
 def test_support_pipeline_rejects_dominated_input():
     inst = validate_instance([[2, 1], [1, 2]])
     y = make_allocation([[HALF, HALF], [HALF, HALF]])
