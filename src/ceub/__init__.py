@@ -28,7 +28,6 @@ from .errors import (
     NotAForest,
     NotParetoOptimal,
     OrphanItem,
-    SameTree,
     SchemaError,
     WrongAgentCount,
     WrongItemCount,
@@ -100,13 +99,9 @@ from .rationals import BACKEND, format_rational, parse_rational, rat
 from .scaling import (
     Equilibrium,
     GainState,
-    GainTable,
     PipelineDetails,
     assemble_equilibrium,
     build_gain_state,
-    build_gain_table,
-    fixed_point_map,
-    gain_ij,
     solve_multiplier_lp,
     support_pipeline,
     support_with_details,

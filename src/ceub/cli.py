@@ -122,7 +122,7 @@ def cmd_verify(args) -> int:
             f" utility {format_rational(r.achieved_utility)},"
             f" optimum {format_rational(r.optimal_utility)} -> {status}"
         )
-    if report.supported and report.budgets_exhausted and report.items_fully_allocated:
+    if report.is_equilibrium:
         print("equilibrium verified: all agents at demand-set optima, market cleared")
         return 0
     # A passing report certifies Pareto optimality; on a failing one the

@@ -50,16 +50,6 @@ class InfeasibleLP(NotParetoOptimal):
     allocation was not Pareto optimal; hence the subclassing."""
 
 
-class SameTree(CeubError):
-    """Raised when a cross-tree quantity is requested for an agent and an
-    item living in the same tree."""
-
-    def __init__(self, agent: int, item: int):
-        self.agent = agent
-        self.item = item
-        super().__init__(f"agent {agent} and item {item} are in the same tree")
-
-
 class InternalVerificationFailed(CeubError):
     """An end-of-pipeline self-check failed. This is a bug in the
     pipeline, never a property of valid input."""

@@ -25,7 +25,7 @@ allocation whose improving cycle is exactly the reverse trade.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .market import Allocation, Instance, make_allocation, validate_instance
 from .maxmin import maxmin_lp
@@ -36,14 +36,8 @@ log = logging.getLogger(__name__)
 _MASK = (1 << 64) - 1
 
 
-def _check_grid(grid) -> None:
-    if not grid or any(v <= 0 for v in grid):
-        raise ValueError("value grid must be nonempty and strictly positive")
-
-
-# Integers 1..20 plus halves; checked once here, not per GenConfig.
+# The drawable values: integers 1..20 plus halves.
 DEFAULT_GRID = tuple(rat(k, 2) for k in range(1, 41))
-_check_grid(DEFAULT_GRID)
 
 
 class SplitMix64:
@@ -78,25 +72,22 @@ class SplitMix64:
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Seeded generator parameters; the grid holds the drawable values."""
+    """Seeded generator parameters; values are drawn from DEFAULT_GRID."""
 
     seed: int
     agents: int
     items: int
-    value_grid: tuple = field(default=DEFAULT_GRID)
 
     def __post_init__(self):
         if self.agents < 1 or self.items < 1:
             raise ValueError("agents and items must be at least 1")
-        if self.value_grid is not DEFAULT_GRID:
-            _check_grid(self.value_grid)
 
 
 def gen_instance(cfg: GenConfig) -> Instance:
     """Instance with independent grid draws, row-major from the seed."""
     rng = SplitMix64(cfg.seed)
     values = [
-        [rng.choice(cfg.value_grid) for _ in range(cfg.items)]
+        [rng.choice(DEFAULT_GRID) for _ in range(cfg.items)]
         for _ in range(cfg.agents)
     ]
     return validate_instance(values)
@@ -122,7 +113,7 @@ def gen_structured_instance(cfg: GenConfig) -> Instance:
     for i in range(cfg.agents):
         for j in range(cfg.items):
             if rng.below(4) == 0:
-                values[i][j] = rng.choice(cfg.value_grid)
+                values[i][j] = rng.choice(DEFAULT_GRID)
     return validate_instance(values)
 
 

@@ -121,6 +121,11 @@ class EquilibriumReport:
     def supported(self) -> bool:
         return all(r.in_demand_set for r in self.reports)
 
+    @property
+    def is_equilibrium(self) -> bool:
+        """Every bundle demanded, every budget spent, every item sold."""
+        return self.supported and self.budgets_exhausted and self.items_fully_allocated
+
 
 def validate_instance(raw_valuations) -> Instance:
     """Build an Instance, rejecting empty or non-positive matrices."""

@@ -27,6 +27,7 @@ from .market import (
     Allocation,
     Instance,
     bundle_cost,
+    bundle_utility,
     make_allocation,
     utility,
     verify_equilibrium,
@@ -127,6 +128,8 @@ def _program(inst: Instance) -> LpProblem:
 
 
 def _settle(inst: Instance, shares, lam) -> Allocation:
+    """The allocation of shares, if every item is sold and every agent
+    is at utility lam; anything else is a solver bug."""
     n, m = inst.agent_count, inst.item_count
     for j in range(m):
         total = sum((shares[i][j] for i in range(n)), ZERO)
@@ -143,7 +146,7 @@ def _settle(inst: Instance, shares, lam) -> Allocation:
 
 def _check_support(inst: Instance, alloc: Allocation, prices, budgets) -> None:
     report = verify_equilibrium(inst, alloc, prices, budgets)
-    if not (report.supported and report.budgets_exhausted and report.items_fully_allocated):
+    if not report.is_equilibrium:
         raise InternalVerificationFailed("fast-path prices and budgets do not support the allocation")
 
 
@@ -189,10 +192,8 @@ def maxmin_two_agents(inst: Instance) -> MaxMinResult:
             rows[1][j] = ONE
     rows[0][js] = frac
     rows[1][js] = ONE - frac
-    alloc = make_allocation(rows)
-    lam = utility(inst, alloc, 0)
-    if utility(inst, alloc, 1) != lam:
-        raise InternalVerificationFailed("median split left utilities unequal")
+    lam = bundle_utility(inst, rows[0], 0)
+    alloc = _settle(inst, rows, lam)
 
     prices = tuple(v0)
     budgets = tuple(bundle_cost(alloc.x[i], prices) for i in range(2))
@@ -265,10 +266,7 @@ def maxmin_two_items(inst: Instance) -> MaxMinResult:
         rows[perm[t]][1] = w * inv1[t]
     rows[perm[k]][0] = xk0
     rows[perm[k]][1] = xk1
-    alloc = make_allocation(rows)
-    for i in range(n):
-        if utility(inst, alloc, i) != w:
-            raise InternalVerificationFailed("two-item split left utilities unequal")
+    alloc = _settle(inst, rows, w)
 
     split_agent = perm[k]
     prices = (v[split_agent][0], v[split_agent][1])

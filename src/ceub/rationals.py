@@ -4,41 +4,23 @@ Everything in this package computes over exact rationals; floats are
 rejected at every boundary. Two interchangeable backends provide the
 number type:
 
-* ``gmpy2.mpq`` -- GMP-backed, selected by default when gmpy2 imports.
+* ``gmpy2.mpq`` -- GMP-backed, used whenever gmpy2 imports.
 * ``fractions.Fraction`` -- stdlib fallback with identical semantics.
 
 Both types print the same canonical ``num/den`` strings, hash and
 compare identically, and mix freely with ints, so the rest of the
-package never needs to know which one is active. Set the environment
-variable ``CEUB_RATIONAL_BACKEND`` to ``gmpy2`` or ``fractions`` to
-force a choice (``auto`` is the default); selection happens once at
-import, so ``CEUB_RATIONAL_BACKEND=... python3 perfbench/run.py``
-compares the two on the benchmark workloads. The simplex pivots on
-Python ints whichever backend is active.
+package never needs to know which one is active. The choice is made
+once, at import, and BACKEND names it. The simplex pivots on Python
+ints whichever backend is active.
 """
 
-import os
 import re
 
-_CHOICES = ("auto", "gmpy2", "fractions")
-_requested = os.environ.get("CEUB_RATIONAL_BACKEND", "auto")
-if _requested not in _CHOICES:
-    raise RuntimeError(
-        f"CEUB_RATIONAL_BACKEND must be one of {', '.join(_CHOICES)}; got {_requested!r}"
-    )
+try:
+    from gmpy2 import mpq as Rational
 
-if _requested in ("auto", "gmpy2"):
-    try:
-        from gmpy2 import mpq as Rational
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _requested == "gmpy2":
-            raise
-        from fractions import Fraction as Rational
-
-        BACKEND = "fractions"
-else:
+    BACKEND = "gmpy2"
+except ImportError:
     from fractions import Fraction as Rational
 
     BACKEND = "fractions"

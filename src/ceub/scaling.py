@@ -6,27 +6,18 @@ budgets of tree T by a factor alpha_T > 0 leaves within-tree support
 intact and changes only the cross-tree comparisons, so the job reduces
 to finding one factor per tree killing all cross-tree envy.
 
-Two routes to the factors live here side by side:
-
-* a closed form (the constructive path): the least solution of the
-  difference constraints between trees, by multiplicative
-  Bellman-Ford, and
-* the per-pair GAIN quantity with its fixed-point map F (an
-  independent check: at a correct alpha every gain is zero and
-  F(alpha) = alpha exactly).
-
-The closed form computes; GAIN is the independent check that the tests
-run on the pipeline's output. It is not run per call: at prices that
-pass the demand oracle on the cycle-free allocation, every gain is zero.
+The factors have a closed form: the least solution of the difference
+constraints between trees, by multiplicative Bellman-Ford
+(solve_multiplier_lp). The demand oracle then checks the scaled prices
+once, on the input allocation.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 
-from .errors import InfeasibleLP, InternalVerificationFailed, NotParetoOptimal, OrphanItem, SameTree
+from .errors import InfeasibleLP, InternalVerificationFailed, NotParetoOptimal, OrphanItem
 from .graphs import make_cycle_free
 from .market import (
     Allocation,
@@ -46,13 +37,9 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class GainState:
-    """Everything the gain formulas need: a priced cycle-free allocation.
+    """A priced cycle-free allocation: what the multipliers are solved on.
 
     Prices, budgets, and utilities are the unscaled per-tree quantities.
-    v_min is half the smallest valuation in the instance; it caps every
-    gain so that a single bounded quantity witnesses unbounded envy
-    (an agent facing a zero-scaled foreign tree would otherwise report
-    infinite gain).
 
     Alpha vectors are indexed by decomposition tree id. Degenerate
     trees (an agent holding nothing) have no prices to scale; their
@@ -64,29 +51,6 @@ class GainState:
     alloc: Allocation
     decomp: ForestDecomposition
     pricing: TreePricing
-
-    @cached_property
-    def v_min(self) -> Rational:
-        # Read only by gain_ij, which the pipeline does not run.
-        return min(v for row in self.inst.values for v in row) / 2
-
-
-@dataclass(frozen=True)
-class GainTable:
-    """Gains of one alpha, aggregated per item and per tree.
-
-    gain_ij[i][j] is zero for same-tree pairs and for unfunded agents;
-    gain_j is the column maximum, gain_T the maximum over a tree's
-    items (zero for degenerate trees, which own none).
-    """
-
-    gain_ij: tuple
-    gain_j: tuple
-    gain_T: tuple
-
-    @property
-    def all_zero(self) -> bool:
-        return all(g == 0 for g in self.gain_T)
 
 
 @dataclass(frozen=True)
@@ -112,72 +76,14 @@ class PipelineDetails:
 
     equilibrium: Equilibrium
     state: GainState
-    alpha: tuple
     lam: Rational
-    cycle_free: Allocation
     report: EquilibriumReport  # the demand oracle on y at the equilibrium
 
 
 def build_gain_state(inst: Instance, alloc: Allocation) -> GainState:
-    """Price a cycle-free allocation and package it for the gain oracle."""
+    """Price a cycle-free allocation and package it for the multipliers."""
     decomp, pricing = price_forest(inst, alloc)
     return GainState(inst, alloc, decomp, pricing)
-
-
-def gain_ij(state: GainState, alpha, i: int, j: int) -> Rational:
-    """Capped utility agent i could gain from item j in a foreign tree.
-
-    At scaling alpha, agent i's budget buys utility u_i inside her own
-    tree. The gain compares that to redirecting the whole budget toward
-    item j: if the scaled budget covers j's scaled price the agent
-    pockets v_ij minus the utility the spent portion used to earn;
-    if j's tree is scaled to zero the item is free (gain v_ij); in the
-    partial-purchase case the affordable fraction of v_ij replaces u_i
-    entirely. Negative gains clamp to zero and everything is capped at
-    v_min.
-    """
-    ti = state.decomp.tree_of_agent[i]
-    tj = state.decomp.tree_of_item[j]
-    if ti == tj:
-        raise SameTree(i, j)
-    budget = state.pricing.budgets[i]
-    if budget == 0:
-        raise ValueError(f"gain is undefined for unfunded agent {i}")
-    value = state.inst.values[i][j]
-    u = state.pricing.utilities[i]
-    scaled_price = alpha[tj] * state.pricing.prices[j]
-    scaled_budget = alpha[ti] * budget
-    if scaled_price < scaled_budget:
-        raw = value - scaled_price * u / scaled_budget
-    elif alpha[tj] == 0:
-        raw = value
-    else:
-        raw = value * scaled_budget / scaled_price - u
-    if raw < 0:
-        raw = ZERO
-    return raw if raw < state.v_min else state.v_min
-
-
-def build_gain_table(state: GainState, alpha) -> GainTable:
-    n, m = state.inst.agent_count, state.inst.item_count
-    toa = state.decomp.tree_of_agent
-    toi = state.decomp.tree_of_item
-    budgets = state.pricing.budgets
-    matrix = tuple(
-        tuple(
-            ZERO
-            if budgets[i] == 0 or toa[i] == toi[j]
-            else gain_ij(state, alpha, i, j)
-            for j in range(m)
-        )
-        for i in range(n)
-    )
-    per_item = tuple(max(matrix[i][j] for i in range(n)) for j in range(m))
-    per_tree = tuple(
-        max((per_item[j] for j in items), default=ZERO)
-        for items in state.decomp.tree_items
-    )
-    return GainTable(matrix, per_item, per_tree)
 
 
 def _check_alpha(state: GainState, alpha) -> None:
@@ -190,18 +96,6 @@ def _check_alpha(state: GainState, alpha) -> None:
     for t in range(state.decomp.tree_count):
         if state.decomp.is_degenerate(t) and alpha[t] != 0:
             raise ValueError(f"tree {t} has no items; its multiplier must be 0")
-
-
-def fixed_point_map(state: GainState, alpha) -> tuple:
-    """One step of F(alpha)_T = (alpha_T + GAIN_T) / (1 + sum GAIN).
-
-    Maps the simplex to itself; alpha is a fixed point exactly when all
-    gains vanish, which is the equilibrium condition.
-    """
-    _check_alpha(state, alpha)
-    table = build_gain_table(state, alpha)
-    denom = ONE + sum(table.gain_T, ZERO)
-    return tuple((alpha[t] + table.gain_T[t]) / denom for t in range(len(alpha)))
 
 
 def solve_multiplier_lp(state: GainState):
@@ -316,10 +210,10 @@ def support_with_details(inst: Instance, y: Allocation) -> PipelineDetails:
     # budget spent and every item sold, make y Pareto optimal. So this
     # one check certifies y; the exchange graph only explains a failure.
     # Its optima judge x' too: x' is demanded iff each bundle is affordable
-    # and worth the optimum, and then every gain is zero, so none is built.
-    # When x is y, the report has already made that test on the same rows.
+    # and worth the optimum. When x is y, the report has already made that
+    # test on the same rows.
     report = verify_equilibrium(inst, y, eq.prices, eq.budgets)
-    if not (report.supported and report.budgets_exhausted and report.items_fully_allocated):
+    if not report.is_equilibrium:
         _raise_if_not_pareto_optimal(inst, y)
         raise InternalVerificationFailed("the prices do not support the original allocation")
     if x is not y:
@@ -329,7 +223,7 @@ def support_with_details(inst: Instance, y: Allocation) -> PipelineDetails:
                 raise InternalVerificationFailed(
                     "scaled prices fail the demand oracle on the cycle-free allocation"
                 )
-    return PipelineDetails(eq, state, alpha, lam, x, report)
+    return PipelineDetails(eq, state, lam, report)
 
 
 def support_pipeline(inst: Instance, y: Allocation) -> Equilibrium:

@@ -23,8 +23,9 @@ so a pivot prices and ratio tests columns on demand, from their
 nonzeros. It then updates every other row of E, and w, by the Bareiss
 step ``(p·x − a·y) // D``, where p is the pivot entry, a the row's
 entry in the entering column and y the pivot row. The division is
-exact, since E stays the adjugate of B up to sign, and D becomes p. Pivots depend only on signs and on ratios within a column,
-and neither depends on D or on the column scales, so the pivot
+exact, since E stays the adjugate of B up to sign, and D becomes p.
+Pivots depend only on signs and on ratios within a column, and
+neither depends on D or on the column scales, so the pivot
 sequence is the one the Rational tableau would take (tests/oracles.py
 keeps that tableau as fraction_solve_lp). Rationals appear only on
 entry, where rows are scaled to ints, and on exit, where x is read off.

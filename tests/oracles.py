@@ -22,13 +22,19 @@ units: the items sorted on Rational ratios, and every purchase a share
 min(1, remaining / price) of its item.
 json_reference is the document writer as it stood before formats got
 its own emitter: json.dumps with two-space indentation.
+The gain oracle (gain_ij, build_gain_table, fixed_point_map) is the
+second route to the tree multipliers that ceub.scaling once kept beside
+the closed form: the per-pair GAIN quantity and the fixed-point map F.
+At a correct alpha every gain is zero and F(alpha) = alpha exactly.
 No test_ prefix, so pytest does not collect this module.
 """
 
 import json
+from dataclasses import dataclass
 from itertools import combinations, product
 
 from ceub.errors import (
+    CeubError,
     DimensionMismatch,
     InfeasibleLP,
     InternalVerificationFailed,
@@ -62,10 +68,11 @@ from ceub.market import (
 )
 from ceub.scaling import (
     Equilibrium,
+    GainState,
     PipelineDetails,
+    _check_alpha,
     assemble_equilibrium,
     build_gain_state,
-    build_gain_table,
     solve_multiplier_lp,
 )
 
@@ -488,6 +495,111 @@ def _fraction_expel_artificials(tableau, basis, art_start, total):
         r += 1
 
 
+class SameTree(CeubError):
+    """Raised when a cross-tree quantity is requested for an agent and an
+    item living in the same tree."""
+
+    def __init__(self, agent: int, item: int):
+        self.agent = agent
+        self.item = item
+        super().__init__(f"agent {agent} and item {item} are in the same tree")
+
+
+@dataclass(frozen=True)
+class GainTable:
+    """Gains of one alpha, aggregated per item and per tree.
+
+    gain_ij[i][j] is zero for same-tree pairs and for unfunded agents;
+    gain_j is the column maximum, gain_T the maximum over a tree's
+    items (zero for degenerate trees, which own none).
+    """
+
+    gain_ij: tuple
+    gain_j: tuple
+    gain_T: tuple
+
+    @property
+    def all_zero(self) -> bool:
+        return all(g == 0 for g in self.gain_T)
+
+
+def v_min(state: GainState):
+    """Half the smallest valuation in the instance. It caps every gain
+    so that a single bounded quantity witnesses unbounded envy (an agent
+    facing a zero-scaled foreign tree would otherwise report infinite
+    gain)."""
+    return min(v for row in state.inst.values for v in row) / 2
+
+
+def gain_ij(state: GainState, alpha, i: int, j: int):
+    """Capped utility agent i could gain from item j in a foreign tree.
+
+    At scaling alpha, agent i's budget buys utility u_i inside her own
+    tree. The gain compares that to redirecting the whole budget toward
+    item j: if the scaled budget covers j's scaled price the agent
+    pockets v_ij minus the utility the spent portion used to earn;
+    if j's tree is scaled to zero the item is free (gain v_ij); in the
+    partial-purchase case the affordable fraction of v_ij replaces u_i
+    entirely. Negative gains clamp to zero and everything is capped at
+    v_min.
+    """
+    ti = state.decomp.tree_of_agent[i]
+    tj = state.decomp.tree_of_item[j]
+    if ti == tj:
+        raise SameTree(i, j)
+    budget = state.pricing.budgets[i]
+    if budget == 0:
+        raise ValueError(f"gain is undefined for unfunded agent {i}")
+    value = state.inst.values[i][j]
+    u = state.pricing.utilities[i]
+    scaled_price = alpha[tj] * state.pricing.prices[j]
+    scaled_budget = alpha[ti] * budget
+    if scaled_price < scaled_budget:
+        raw = value - scaled_price * u / scaled_budget
+    elif alpha[tj] == 0:
+        raw = value
+    else:
+        raw = value * scaled_budget / scaled_price - u
+    if raw < 0:
+        raw = ZERO
+    cap = v_min(state)
+    return raw if raw < cap else cap
+
+
+def build_gain_table(state: GainState, alpha) -> GainTable:
+    n, m = state.inst.agent_count, state.inst.item_count
+    toa = state.decomp.tree_of_agent
+    toi = state.decomp.tree_of_item
+    budgets = state.pricing.budgets
+    matrix = tuple(
+        tuple(
+            ZERO
+            if budgets[i] == 0 or toa[i] == toi[j]
+            else gain_ij(state, alpha, i, j)
+            for j in range(m)
+        )
+        for i in range(n)
+    )
+    per_item = tuple(max(matrix[i][j] for i in range(n)) for j in range(m))
+    per_tree = tuple(
+        max((per_item[j] for j in items), default=ZERO)
+        for items in state.decomp.tree_items
+    )
+    return GainTable(matrix, per_item, per_tree)
+
+
+def fixed_point_map(state: GainState, alpha) -> tuple:
+    """One step of F(alpha)_T = (alpha_T + GAIN_T) / (1 + sum GAIN).
+
+    Maps the simplex to itself; alpha is a fixed point exactly when all
+    gains vanish, which is the equilibrium condition.
+    """
+    _check_alpha(state, alpha)
+    table = build_gain_table(state, alpha)
+    denom = ONE + sum(table.gain_T, ZERO)
+    return tuple((alpha[t] + table.gain_T[t]) / denom for t in range(len(alpha)))
+
+
 def checked_assemble_equilibrium(state, alpha) -> Equilibrium:
     """assemble_equilibrium as it stood while it checked its own result.
 
@@ -540,7 +652,7 @@ def eager_support_with_details(inst: Instance, y: Allocation) -> PipelineDetails
             )
     # The report `ceub price` then computed for its output file.
     report = verify_equilibrium(inst, y, eq.prices, eq.budgets)
-    return PipelineDetails(eq, state, alpha, lam, x, report)
+    return PipelineDetails(eq, state, lam, report)
 
 
 def fraction_max_affordable_utility(inst: Instance, prices, budget, i: int):

@@ -40,10 +40,10 @@ from ceub.market import (
 )
 from ceub.maxmin import maxmin_lp, maxmin_two_agents, maxmin_two_items
 from ceub.rationals import ZERO, rat
-from ceub.scaling import build_gain_table, fixed_point_map, support_pipeline, support_with_details
+from ceub.scaling import support_pipeline, support_with_details
 from ceub.simplex import EQUAL, GREATER, LESS, OPTIMAL, make_problem, solve_lp
 
-from oracles import brute_force_lp
+from oracles import brute_force_lp, build_gain_table, fixed_point_map
 
 CORPUS_SIZE = 500
 _corpus_cache = {}
@@ -135,9 +135,10 @@ def test_criterion_4_fixed_point_consistency():
     results, _ = pipeline_details()
     for details in results:
         assert details.lam > 0
-        assert sum(details.alpha, ZERO) == 1
-        assert build_gain_table(details.state, details.alpha).all_zero
-        assert fixed_point_map(details.state, details.alpha) == details.alpha
+        alpha = details.equilibrium.alpha
+        assert sum(alpha, ZERO) == 1
+        assert build_gain_table(details.state, alpha).all_zero
+        assert fixed_point_map(details.state, alpha) == alpha
     print(f"criterion 4: lambda > 0, simplex alpha, zero gains, exact fixed points "
           f"in {len(results)}/{len(results)} runs -> PASS")
 

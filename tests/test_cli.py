@@ -291,29 +291,48 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-def test_installed_entry_point_smoke(tmp_path):
+def run_entry_point(tmp_path, *argv, **environ):
+    """Run the declared `ceub` console script in a subprocess, from the
+    source tree, with extra environment variables."""
     tomllib = pytest.importorskip("tomllib")
     root = Path(__file__).resolve().parent.parent
     with open(root / "pyproject.toml", "rb") as f:
         target = tomllib.load(f)["project"]["scripts"]["ceub"]
     module, attr = target.split(":")
     wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-    env = dict(os.environ)
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
     )
-    instance, allocation = write_toy(tmp_path)
-    out = tmp_path / "eq.json"
-    done = subprocess.run(
-        [sys.executable, "-c", wrapper, "price", instance, allocation, "-o", str(out)],
+    return subprocess.run(
+        [sys.executable, "-c", wrapper, *argv],
         capture_output=True,
         text=True,
         timeout=60,
         cwd=tmp_path,
         env=env,
     )
+
+
+def test_installed_entry_point_smoke(tmp_path):
+    instance, allocation = write_toy(tmp_path)
+    out = tmp_path / "eq.json"
+    done = run_entry_point(tmp_path, "price", instance, allocation, "-o", str(out))
     assert done.returncode == 0, done.stderr
     assert "supported" in done.stdout
+    load_equilibrium(out.read_text(encoding="utf-8"))
+
+
+def test_backend_is_not_read_from_the_environment(tmp_path):
+    # The backend is gmpy2 when it imports and fractions otherwise; no
+    # environment variable can make the import of ceub fail.
+    instance, allocation = write_toy(tmp_path)
+    out = tmp_path / "eq.json"
+    done = run_entry_point(
+        tmp_path, "price", instance, allocation, "-o", str(out), CEUB_RATIONAL_BACKEND="bogus"
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
     load_equilibrium(out.read_text(encoding="utf-8"))
 
 

@@ -6,6 +6,7 @@ routes live in oracles.py.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -179,6 +180,19 @@ def test_verify_equilibrium_flags_wrong_budgets():
     assert not report.supported
     assert not report.reports[1].in_demand_set
     assert not report.budgets_exhausted
+
+
+def test_is_equilibrium_needs_all_three_flags():
+    inst, alloc = toy()
+    report = verify_equilibrium(inst, alloc, (1,), (rat(99, 100), rat(1, 100)))
+    assert report.is_equilibrium
+    undemanded = replace(report.reports[1], in_demand_set=False)
+    for failing in (
+        replace(report, reports=(report.reports[0], undemanded)),
+        replace(report, budgets_exhausted=False),
+        replace(report, items_fully_allocated=False),
+    ):
+        assert not failing.is_equilibrium
 
 
 def test_verify_equilibrium_single_agent():

@@ -2,7 +2,9 @@
 
 The pipeline under test turns a Pareto-optimal allocation into anonymous
 prices and budgets that support it; every stage is exercised both on
-hand-sized fixtures and on generated instances.
+hand-sized fixtures and on generated instances. The gain oracle and the
+fixed-point map live in tests/oracles.py, as an independent check of the
+closed-form multipliers.
 """
 
 import logging
@@ -12,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 from ceub import scaling
-from ceub.errors import InfeasibleLP, InternalVerificationFailed, NotParetoOptimal, SameTree
+from ceub.errors import InfeasibleLP, InternalVerificationFailed, NotParetoOptimal
 from ceub.generators import GenConfig, gen_instance, gen_pareto_allocation
 from ceub.graphs import build_graph, find_cycle
 from ceub.market import (
@@ -26,13 +28,12 @@ from ceub.rationals import ZERO, rat
 from ceub.scaling import (
     assemble_equilibrium,
     build_gain_state,
-    build_gain_table,
-    fixed_point_map,
-    gain_ij,
     solve_multiplier_lp,
     support_pipeline,
     support_with_details,
 )
+
+from oracles import SameTree, build_gain_table, fixed_point_map, gain_ij, v_min
 
 HALF = rat(1, 2)
 
@@ -56,7 +57,7 @@ def test_gain_cases_on_mismatched_diagonal():
     # own item worth 1, the other worth 3: every cross gain hits the cap
     inst, alloc = diagonal([[1, 3], [3, 1]])
     state = build_gain_state(inst, alloc)
-    assert state.v_min == HALF
+    assert v_min(state) == HALF
 
     # scaled price below scaled budget: the whole item is affordable
     assert gain_ij(state, (1, 0), 0, 1) == HALF
@@ -91,7 +92,7 @@ def test_gain_table_shape_and_caps():
     assert not table.all_zero
     for row in table.gain_ij:
         for g in row:
-            assert 0 <= g <= state.v_min
+            assert 0 <= g <= v_min(state)
 
 
 # --------------------------------------------------------- fixed-point map
@@ -279,25 +280,18 @@ def test_exchange_graph_runs_only_on_failure(monkeypatch):
 
 def test_forest_input_is_checked_once(monkeypatch):
     calls = []
-    gains = []
     real = scaling.verify_equilibrium
-    real_gains = scaling.build_gain_table
 
     def counted(inst, alloc, prices, budgets):
         calls.append(alloc)
         return real(inst, alloc, prices, budgets)
 
-    def counted_gains(state, alpha):
-        gains.append(alpha)
-        return real_gains(state, alpha)
-
     monkeypatch.setattr(scaling, "verify_equilibrium", counted)
-    monkeypatch.setattr(scaling, "build_gain_table", counted_gains)
     inst = validate_instance([[2, 1], [1, 2]])
     y = make_allocation([[1, 0], [0, 1]])
     details = support_with_details(inst, y)
     eq = details.equilibrium
-    assert details.cycle_free is y
+    assert details.equilibrium.allocation is y
     assert calls == [y]
     assert details.report == real(inst, y, eq.prices, eq.budgets)
 
@@ -308,10 +302,9 @@ def test_forest_input_is_checked_once(monkeypatch):
     y = make_allocation([[HALF, HALF], [HALF, HALF]])
     details = support_with_details(inst, y)
     eq = details.equilibrium
-    assert details.cycle_free is not y
+    assert details.equilibrium.allocation is not y
     assert calls == [y]
     assert details.report == real(inst, y, eq.prices, eq.budgets)
-    assert gains == []  # neither input builds a gain table
 
 
 def test_transform_is_checked_against_the_report_on_y(monkeypatch):
@@ -345,7 +338,7 @@ def test_forest_input_is_not_checked_twice(monkeypatch):
     inst = validate_instance([[2, 1], [1, 2]])
     y = make_allocation([[1, 0], [0, 1]])
     details = support_with_details(inst, y)
-    assert details.cycle_free is y
+    assert details.equilibrium.allocation is y
     assert details.report.supported
 
 
@@ -378,11 +371,11 @@ def test_pipeline_details_expose_consistent_intermediates():
         state = details.state
 
         assert details.lam > 0
-        assert sum(details.alpha, ZERO) == 1
-        assert details.alpha == eq.alpha
-        assert build_gain_table(state, details.alpha).all_zero
-        assert fixed_point_map(state, details.alpha) == details.alpha
-        assert find_cycle(build_graph(inst, details.cycle_free)) is None
+        assert sum(eq.alpha, ZERO) == 1
+        assert eq.allocation is state.alloc
+        assert build_gain_table(state, eq.alpha).all_zero
+        assert fixed_point_map(state, eq.alpha) == eq.alpha
+        assert find_cycle(build_graph(inst, eq.allocation)) is None
 
         n = inst.agent_count
         for i in range(n):

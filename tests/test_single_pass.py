@@ -60,7 +60,7 @@ def failure_route(inst, y):
     except CeubError as exc:
         return type(exc).__name__
     report = verify_equilibrium(inst, y, eq.prices, eq.budgets)
-    if report.supported and report.budgets_exhausted and report.items_fully_allocated:
+    if report.is_equilibrium:
         return None
     return "report"
 
