@@ -34,7 +34,7 @@ from .market import (
     verify_pareto_optimal,
 )
 from .rationals import ONE, ZERO, Rational
-from .simplex import LESS, OPTIMAL, LpProblem, make_problem, solve_lp
+from .simplex import LESS, OPTIMAL, LpProblem, solve_lp
 
 log = logging.getLogger(__name__)
 
@@ -108,23 +108,24 @@ def maxmin_lp(inst: Instance) -> MaxMinResult:
 def _program(inst: Instance) -> LpProblem:
     """max lambda s.t. lambda - sum_j v_ij x_ij <= 0 for each agent i and
     sum_i x_ij <= 1 for each item j; x_ij is variable i*m + j, lambda
-    the last."""
+    the last. Built as the LpProblem that make_problem would return,
+    without its per-entry checks: every entry is already a Rational."""
     n, m = inst.agent_count, inst.item_count
     lam_var = n * m
-    objective = [ZERO] * lam_var + [ONE]
+    zeros = [ZERO] * (lam_var + 1)
     rows = []
-    for i in range(n):
-        coeffs = [ZERO] * (lam_var + 1)
-        for j in range(m):
-            coeffs[i * m + j] = -inst.values[i][j]
+    for i, values in enumerate(inst.values):
+        coeffs = zeros.copy()
+        coeffs[i * m:(i + 1) * m] = [-v for v in values]
         coeffs[lam_var] = ONE
-        rows.append((coeffs, LESS, ZERO))
+        rows.append((tuple(coeffs), LESS, ZERO))
     for j in range(m):
-        coeffs = [ZERO] * (lam_var + 1)
-        for i in range(n):
-            coeffs[i * m + j] = ONE
-        rows.append((coeffs, LESS, ONE))
-    return make_problem(objective, rows)
+        coeffs = zeros.copy()
+        coeffs[j:lam_var:m] = [ONE] * n
+        rows.append((tuple(coeffs), LESS, ONE))
+    objective = zeros.copy()
+    objective[lam_var] = ONE
+    return LpProblem(tuple(objective), tuple(rows), tuple(zeros), (None,) * (lam_var + 1))
 
 
 def _settle(inst: Instance, shares, lam) -> Allocation:

@@ -13,22 +13,45 @@ constraint matrix is never rewritten: it is held as sparse int columns
 the starting basis is the identity). The state is
 
 * ``D``, a positive int: the absolute value of the basis determinant;
-* ``E = D·B⁻¹`` beside the rhs column ``D·B⁻¹b``, one int row per
-  constraint;
-* ``w = −D·y``, the duals y times −D.
+* ``E = D·B⁻¹`` beside the rhs column ``D·B⁻¹b``;
+* ``w = −D·y``, the duals y times −D, as a list of ints.
 
 ``D·c_j + w·A_j`` is D times the reduced cost of column j (for the
 objective scaled to ints), and ``E·A_j`` is D times its tableau column,
 so a pivot prices and ratio tests columns on demand, from their
-nonzeros. It then updates every other row of E, and w, by the Bareiss
-step ``(p·x − a·y) // D``, where p is the pivot entry, a the row's
-entry in the entering column and y the pivot row. The division is
-exact, since E stays the adjugate of B up to sign, and D becomes p.
-Pivots depend only on signs and on ratios within a column, and
-neither depends on D or on the column scales, so the pivot
+nonzeros. It then takes the Bareiss step ``(p·x − a·y) // D`` on every
+other row of [E | rhs], and on w, where p is the pivot entry, a the
+row's entry in the entering column and y the pivot row. The division
+is exact, since E stays the adjugate of B up to sign, and D becomes p.
+
+Each column of [E | rhs] is one Python int, its m entries packed as
+signed fields of W bits, row r at bit r·W (Kronecker substitution, as
+in GMP- and FLINT-style polynomial arithmetic; Harvey 2009). A linear
+combination of packed columns is the packed linear combination, so
+``E·A_j`` is one multiply-add per nonzero of A_j, and the Bareiss step
+on a whole column k is ``(p·C_k − y_k·α′) // D``, with α′ the packed
+entering column and p − D in its field r, so that row r stays. That is
+a few big-int operations per column, in C, instead of one interpreted
+operation per entry; the division is exact on the whole int because it
+is exact in every field. Fields are read off only after such exact
+steps, never from an intermediate.
+
+The width comes from Hadamard's bound. Every entry of E, of the rhs and
+of ``E·A_j`` is, up to sign, a minor of the integer matrix
+[A | slacks | artificials | b], and every minor is at most the product
+of the Euclidean norms of that matrix's rows, each at least 1 since
+each row holds a slack or an artificial. W is the bit length of that
+bound plus a sign bit, so every entry fits its field and decoding is
+exact; carries between fields in the packed int lose nothing, since it
+is an exact integer. Dropping a redundant row keeps the bound, since a
+minor of the remaining rows is a minor of the whole.
+
+Pivots depend only on signs and on ratios within a column, and neither
+depends on D, on the column scales or on how E is stored, so the pivot
 sequence is the one the Rational tableau would take (tests/oracles.py
-keeps that tableau as fraction_solve_lp). Rationals appear only on
-entry, where rows are scaled to ints, and on exit, where x is read off.
+keeps that tableau as fraction_solve_lp, and this simplex with one int
+list per row of E as row_solve_lp). Rationals appear only on entry,
+where rows are scaled to ints, and on exit, where x is read off.
 
 Conventions
 -----------
@@ -52,7 +75,8 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import isqrt, lcm
+from operator import mul
 
 from .errors import MalformedProblem
 from .rationals import ONE, ZERO, Rational, rat
@@ -61,6 +85,7 @@ LESS = "<="
 EQUAL = "="
 GREATER = ">="
 _RELATIONS = (LESS, EQUAL, GREATER)
+_FLIP = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -133,44 +158,50 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     # Shift variables to x' = x - lower >= 0 and collect working rows as
     # their nonzero terms. Upper bounds become plain rows in the shifted
     # space.
-    shifts = [(j, low) for j, low in enumerate(problem.lower) if low != 0]
+    shifts = [(j, low) for j, low in enumerate(problem.lower) if low]
     work = []
     for coeffs, relation, rhs in problem.rows:
-        shifted = rhs - sum((coeffs[j] * low for j, low in shifts), ZERO)
-        work.append([[(j, c) for j, c in enumerate(coeffs) if c], relation, shifted])
+        if shifts:
+            rhs -= sum((coeffs[j] * low for j, low in shifts), ZERO)
+        work.append(([(j, c) for j, c in enumerate(coeffs) if c], relation, rhs))
     for j, bound in enumerate(problem.upper):
         if bound is not None:
-            work.append([[(j, ONE)], LESS, bound - problem.lower[j]])
-
-    # Normalize right-hand sides to be nonnegative.
-    for row in work:
-        if row[2] < 0:
-            row[0] = [(j, -c) for j, c in row[0]]
-            row[2] = -row[2]
-            row[1] = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[row[1]]
+            work.append(([(j, ONE)], LESS, bound - problem.lower[j]))
 
     # Sparse int columns: the n structural columns, then a slack or
     # surplus per "<="/">=" row, then an artificial per ">="/"=" row.
-    # Row r is scaled by the lcm s_r of its denominators; its slack,
-    # surplus and artificial are scaled by s_r too, so they keep the
-    # entries +-1, and the starting basis is the identity.
+    # Row r is scaled by the lcm s_r of its denominators, and negated if
+    # its rhs is negative; its slack, surplus and artificial are scaled
+    # by s_r too, so they keep the entries +-1, and the starting basis
+    # is the identity. The squared norms of the full rows, b included,
+    # give the field width.
     m = len(work)
     columns = [[] for _ in range(n)]
+    relations = []
     scales = []
-    E = []
-    for r, (terms, _, rhs) in enumerate(work):
+    b = []
+    hadamard = 1
+    for r, (terms, relation, rhs) in enumerate(work):
         ints, scale = _integral([c for _, c in terms] + [rhs])
+        if ints[-1] < 0:
+            ints = [-v for v in ints]
+            relation = _FLIP[relation]
         for (j, _), v in zip(terms, ints):
             columns[j].append((r, v))
+        relations.append(relation)
         scales.append(scale)
-        E.append([int(k == r) for k in range(m)] + ints[-1:])
+        b.append(ints[-1])
+        hadamard *= sum(map(mul, ints, ints)) + 1 + (relation == GREATER)
+    width = isqrt(hadamard).bit_length() + 1
+    cols = [1 << (k * width) for k in range(m)]
+    cols.append(_pack(b, width))
     basis = [None] * m
-    for r, (_, relation, _) in enumerate(work):
+    for r, relation in enumerate(relations):
         if relation != EQUAL:
             basis[r] = len(columns)
             columns.append([(r, 1 if relation == LESS else -1)])
     art_start = len(columns)
-    for r, (_, relation, _) in enumerate(work):
+    for r, relation in enumerate(relations):
         if relation != LESS:
             basis[r] = len(columns)
             columns.append([(r, 1)])
@@ -190,60 +221,99 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             if basis[r] >= art_start:
                 cost[basis[r]] = -(common // scales[r])
         w = [-cost[bv] for bv in basis]
-        status, phase1, D = _iterate(E, basis, columns, cost, w, D, total)
+        status, phase1, D = _iterate(cols, basis, columns, cost, w, D, total, width)
         if status == UNBOUNDED:  # cannot happen: phase-1 objective is bounded by 0
             raise MalformedProblem("phase-1 objective unbounded; solver invariant broken")
         # Basic levels are nonnegative, so their sum is zero only if each is.
-        if any(E[r][m] != 0 for r in range(m) if basis[r] >= art_start):
-            return LpSolution(INFEASIBLE, None, None, (phase1, 0), _bits(E, D))
-        D = _expel_artificials(E, basis, columns, D, art_start)
+        levels, bits = _read_off(cols, m, width, D)
+        if any(levels[r] != 0 for r in range(m) if basis[r] >= art_start):
+            return LpSolution(INFEASIBLE, None, None, (phase1, 0), bits)
+        D = _expel_artificials(cols, basis, columns, D, art_start, width)
 
     # ------------------------------------------------------------------
     # Phase 2: the real objective, w = -c_B·E against the current basis.
     # Artificial columns are dead; they never re-enter.
     # ------------------------------------------------------------------
-    ints, _ = _integral(problem.objective)
+    ints, scale = _integral(problem.objective)
     cost = ints + [0] * (total - n)
     w = [0] * m
     for r, bv in enumerate(basis):
         if cost[bv] != 0:
-            w = [v - cost[bv] * e for v, e in zip(w, E[r])]
-    status, phase2, D = _iterate(E, basis, columns, cost, w, D, art_start)
+            w = [v - cost[bv] * e for v, e in zip(w, _row(cols, r, width))]
+    status, phase2, D = _iterate(cols, basis, columns, cost, w, D, art_start, width)
     pivots = (phase1, phase2)
+    levels, bits = _read_off(cols, len(basis), width, D)
     if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED, None, None, pivots, _bits(E, D))
+        return LpSolution(UNBOUNDED, None, None, pivots, bits)
 
+    # c·x = c_B·levels / (scale·D) in the shifted space, plus c·lower.
     shifted = [ZERO] * total
-    for r, bv in enumerate(basis):
-        shifted[bv] = Rational(E[r][m], D)
+    for bv, level in zip(basis, levels):
+        shifted[bv] = Rational(level, D)
+    value = Rational(sum(map(mul, (cost[bv] for bv in basis), levels)), scale * D)
     for j, low in shifts:
         shifted[j] += low
-    x = tuple(shifted[:n])
-    value = sum((c * x[j] for j, c in enumerate(problem.objective) if c != 0), ZERO)
-    return LpSolution(OPTIMAL, x, value, pivots, _bits(E, D))
+        value += problem.objective[j] * low
+    return LpSolution(OPTIMAL, tuple(shifted[:n]), value, pivots, bits)
 
 
 def _integral(values):
     """A rational vector scaled by the lcm of its denominators: the
     integer vector and the scale."""
-    scale = lcm(*(int(v.denominator) for v in values))
-    return [int(v.numerator) * (scale // int(v.denominator)) for v in values], scale
+    dens = [int(v.denominator) for v in values]
+    scale = lcm(*dens)
+    return [int(v.numerator) * (scale // d) for v, d in zip(values, dens)], scale
 
 
-def _bits(E, D):
-    """Bit length of the largest int in E and D."""
-    return max(D.bit_length(), max((v.bit_length() for row in E for v in row), default=0))
+def _pack(values, width):
+    """The ints values as signed width-bit fields of one int, lowest first."""
+    x = 0
+    for v in reversed(values):
+        x = (x << width) + v
+    return x
 
 
-def _column(E, column):
-    """E·A_j from the nonzeros of column j: D times its tableau column."""
-    alpha = [0] * len(E)
+def _unpack(x, count, width):
+    """The count signed width-bit fields of x, lowest first. Adding half
+    a field to every field makes each one nonnegative, so no field
+    borrows from the next and each is read off by a shift and a mask."""
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    x += half * (((1 << count * width) - 1) // mask)
+    return [(x >> s & mask) - half for s in range(0, count * width, width)]
+
+
+def _row(cols, r, width):
+    """Field r of every column: row r of [E | rhs]. With s = r·W, the
+    fields below r add up to less than 2^(s−1) in absolute value, so
+    adding 2^(s−1) keeps their borrow out of field r, and adding half a
+    field at bit s makes field r nonnegative."""
+    s = r * width
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    lift = (half << s) + (half << s >> width)
+    return [((x + lift) >> s & mask) - half for x in cols]
+
+
+def _read_off(cols, count, width, D):
+    """The rhs column of [E | rhs] and the bit length of the largest int
+    in E, the rhs and D, from one decode: the columns packed end to end
+    are the entries of [E | rhs] as count·(m + 1) fields."""
+    entries = _unpack(_pack(cols, count * width), len(cols) * count, width)
+    bits = max(D.bit_length(), max(map(int.bit_length, entries), default=0))
+    return entries[len(entries) - count:], bits
+
+
+def _column(cols, column):
+    """E·A_j from the nonzeros of column j, packed: D times its tableau
+    column."""
+    alpha = 0
     for k, v in column:
-        alpha = [a + row[k] * v for a, row in zip(alpha, E)]
+        alpha += cols[k] * v
     return alpha
 
 
-def _iterate(E, basis, columns, cost, w, D, allow):
+def _iterate(cols, basis, columns, cost, w, D, allow, width):
     """Run simplex pivots until optimal or unbounded; (status, pivots, D).
 
     `allow` bounds the entering-column search: columns >= allow (the
@@ -252,6 +322,10 @@ def _iterate(E, basis, columns, cost, w, D, allow):
     """
     m = len(w)
     priced = list(zip(range(allow), columns, cost))
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    span = len(basis) * width
+    bias = half * (((1 << span) - 1) // mask)
     pivots = 0
     while True:
         for entering, column, c in priced:  # Bland: lowest eligible index
@@ -262,11 +336,15 @@ def _iterate(E, basis, columns, cost, w, D, allow):
                 break
         else:
             return OPTIMAL, pivots, D
-        alpha = _column(E, columns[entering])
+        alpha = _column(cols, columns[entering])
+        # alpha and the rhs decode as in _unpack, a row at a time.
+        lifted = alpha + bias
+        levels = cols[m] + bias
         leaving = -1
-        for r, a in enumerate(alpha):
+        for r, s in enumerate(range(0, span, width)):
+            a = (lifted >> s & mask) - half
             if a > 0:
-                t = E[r][m]
+                t = (levels >> s & mask) - half
                 if leaving < 0:
                     best_t, best_a, leaving = t, a, r
                     continue
@@ -275,39 +353,37 @@ def _iterate(E, basis, columns, cost, w, D, allow):
                     best_t, best_a, leaving = t, a, r
         if leaving < 0:
             return UNBOUNDED, pivots, D
-        D = _pivot(E, basis, leaving, entering, alpha, D, w, g)
+        D = _pivot(cols, basis, leaving, entering, alpha, D, w, g, width)
         pivots += 1
 
 
-def _pivot(E, basis, r, c, alpha, D, w, g):
+def _pivot(cols, basis, r, c, alpha, D, w, g, width):
     """Make column c basic in row r and return the new D, the pivot p.
 
-    alpha is E·A_c and g is D times c's reduced cost; w is None when the
-    objective does not matter. Every other row x of E becomes
-    (p·x − a·y) // D, with a its entry in alpha and y row r, and w the
-    same with a = g; a row with a = 0 is thus rescaled by p/D. A
-    negative pivot entry (only an expulsion takes one) first negates
-    row r, so that D stays positive.
+    alpha is E·A_c packed and g is D times c's reduced cost; w is None
+    when the objective does not matter. With y row r of [E | rhs] and
+    field r of alpha changed from p to p − D, every column x becomes
+    (p·x − y_k·alpha) // D: field i ≠ r is the Bareiss step
+    (p·x_i − a_i·y_k) / D, and field r is (p·y_k − (p − D)·y_k) / D = y_k.
+    w becomes (p·w − g·y) // D. A negative pivot entry (only an
+    expulsion takes one) negates row r, so that D stays positive: p and
+    y change sign, and the same alpha, now −p − D in field r, leaves
+    −y_k there.
     """
-    if alpha[r] < 0:
-        E[r] = [-v for v in E[r]]
-        alpha[r] = -alpha[r]
-    p = alpha[r]
-    row = E[r]
-    for i, a in enumerate(alpha):
-        if a != 0:
-            if i != r:
-                E[i] = [(p * v - a * y) // D for v, y in zip(E[i], row)]
-        elif p != D:
-            E[i] = [p * v // D for v in E[i]]
+    *y, p = _row([*cols, alpha], r, width)
+    if p < 0:
+        p = -p
+        y = [-v for v in y]
+    alpha -= D << r * width
+    cols[:] = [(p * x - v * alpha) // D for x, v in zip(cols, y)]
     if w is not None:
-        # zip stops at w's end, before the rhs entry of row.
-        w[:] = [(p * v - g * y) // D for v, y in zip(w, row)]
+        # zip stops at w's end, before the rhs entry of y.
+        w[:] = [(p * v - g * e) // D for v, e in zip(w, y)]
     basis[r] = c
     return p
 
 
-def _expel_artificials(E, basis, columns, D, art_start):
+def _expel_artificials(cols, basis, columns, D, art_start, width):
     """Pivot zero-level artificials out of the basis, drop redundant rows,
     and return the new D."""
     r = 0
@@ -315,14 +391,18 @@ def _expel_artificials(E, basis, columns, D, art_start):
         if basis[r] < art_start:
             r += 1
             continue
-        row = E[r]
+        row = _row(cols, r, width)
         for j in range(art_start):
             if sum(row[k] * v for k, v in columns[j]) != 0:
-                D = _pivot(E, basis, r, j, _column(E, columns[j]), D, None, 0)
+                D = _pivot(cols, basis, r, j, _column(cols, columns[j]), D, None, 0, width)
                 r += 1
                 break
         else:
             # The row reads 0 = 0 over real variables: redundant.
-            del E[r]
+            count = len(basis)
+            for k, x in enumerate(cols):
+                fields = _unpack(x, count, width)
+                del fields[r]
+                cols[k] = _pack(fields, width)
             del basis[r]
     return D

@@ -7,7 +7,10 @@ exchange graph, and the trade executor replays a certificate literally.
 The multiplier and welfare oracles solve, with the exact simplex, the
 linear programs whose optima the package computes in closed form.
 fraction_solve_lp is the simplex as it stood before its tableau moved
-to integers: the same pivots, on Rationals. maxmin_geq_program is the
+to integers: the same pivots, on Rationals. row_solve_lp is the integer
+simplex as it stood before its columns were packed: E = D·B⁻¹ as one
+list of ints per row, updated entry by entry; solve_lp must return the
+same LpSolution, pivots and bits included. maxmin_geq_program is the
 max-min LP with its agent rows written as ">= 0", which needs phase 1.
 eager_support_with_details is the pricing pipeline as it stood before
 the equilibrium became the Pareto certificate: the exchange-graph
@@ -32,6 +35,7 @@ No test_ prefix, so pytest does not collect this module.
 import json
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import lcm
 
 from ceub.errors import (
     CeubError,
@@ -43,7 +47,7 @@ from ceub.errors import (
     ZeroPrice,
 )
 from ceub.generators import DEFAULT_GRID, SplitMix64
-from ceub.rationals import ONE, ZERO, rat
+from ceub.rationals import ONE, ZERO, Rational, rat
 from ceub.simplex import (
     EQUAL,
     GREATER,
@@ -53,6 +57,7 @@ from ceub.simplex import (
     UNBOUNDED,
     LpProblem,
     LpSolution,
+    _integral,
     make_problem,
     solve_lp,
 )
@@ -493,6 +498,206 @@ def _fraction_expel_artificials(tableau, basis, art_start, total):
             continue
         _fraction_pivot(tableau, basis, [ZERO] * (total + 1), r, pivot_col, total)
         r += 1
+
+
+def row_solve_lp(problem: LpProblem) -> LpSolution:
+    """The exact two-phase revised simplex with Bland's rule, with
+    E = D·B⁻¹ held as one int row per constraint, as ceub.simplex.solve_lp
+    ran before its columns were packed into ints; the differential oracle
+    for that change."""
+    if not isinstance(problem, LpProblem):
+        raise MalformedProblem(f"not an LpProblem: {type(problem).__name__}")
+    n = problem.var_count
+
+    # Shift variables to x' = x - lower >= 0 and collect working rows as
+    # their nonzero terms. Upper bounds become plain rows in the shifted
+    # space.
+    shifts = [(j, low) for j, low in enumerate(problem.lower) if low != 0]
+    work = []
+    for coeffs, relation, rhs in problem.rows:
+        shifted = rhs - sum((coeffs[j] * low for j, low in shifts), ZERO)
+        work.append([[(j, c) for j, c in enumerate(coeffs) if c], relation, shifted])
+    for j, bound in enumerate(problem.upper):
+        if bound is not None:
+            work.append([[(j, ONE)], LESS, bound - problem.lower[j]])
+
+    # Normalize right-hand sides to be nonnegative.
+    for row in work:
+        if row[2] < 0:
+            row[0] = [(j, -c) for j, c in row[0]]
+            row[2] = -row[2]
+            row[1] = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[row[1]]
+
+    # Sparse int columns: the n structural columns, then a slack or
+    # surplus per "<="/">=" row, then an artificial per ">="/"=" row.
+    # Row r is scaled by the lcm s_r of its denominators; its slack,
+    # surplus and artificial are scaled by s_r too, so they keep the
+    # entries +-1, and the starting basis is the identity.
+    m = len(work)
+    columns = [[] for _ in range(n)]
+    scales = []
+    E = []
+    for r, (terms, _, rhs) in enumerate(work):
+        ints, scale = _integral([c for _, c in terms] + [rhs])
+        for (j, _), v in zip(terms, ints):
+            columns[j].append((r, v))
+        scales.append(scale)
+        E.append([int(k == r) for k in range(m)] + ints[-1:])
+    basis = [None] * m
+    for r, (_, relation, _) in enumerate(work):
+        if relation != EQUAL:
+            basis[r] = len(columns)
+            columns.append([(r, 1 if relation == LESS else -1)])
+    art_start = len(columns)
+    for r, (_, relation, _) in enumerate(work):
+        if relation != LESS:
+            basis[r] = len(columns)
+            columns.append([(r, 1)])
+    total = len(columns)
+    D = 1
+
+    # ------------------------------------------------------------------
+    # Phase 1: maximize -(sum of artificials). Artificial r stands for
+    # s_r times the rational one, so its cost is -lcm(s)/s_r. With E = I
+    # and D = 1, w is minus the basic costs.
+    # ------------------------------------------------------------------
+    phase1 = 0
+    if art_start < total:
+        common = lcm(*(scales[r] for r in range(m) if basis[r] >= art_start))
+        cost = [0] * total
+        for r in range(m):
+            if basis[r] >= art_start:
+                cost[basis[r]] = -(common // scales[r])
+        w = [-cost[bv] for bv in basis]
+        status, phase1, D = _row_iterate(E, basis, columns, cost, w, D, total)
+        if status == UNBOUNDED:  # cannot happen: phase-1 objective is bounded by 0
+            raise MalformedProblem("phase-1 objective unbounded; solver invariant broken")
+        # Basic levels are nonnegative, so their sum is zero only if each is.
+        if any(E[r][m] != 0 for r in range(m) if basis[r] >= art_start):
+            return LpSolution(INFEASIBLE, None, None, (phase1, 0), _row_bits(E, D))
+        D = _row_expel_artificials(E, basis, columns, D, art_start)
+
+    # ------------------------------------------------------------------
+    # Phase 2: the real objective, w = -c_B·E against the current basis.
+    # Artificial columns are dead; they never re-enter.
+    # ------------------------------------------------------------------
+    ints, _ = _integral(problem.objective)
+    cost = ints + [0] * (total - n)
+    w = [0] * m
+    for r, bv in enumerate(basis):
+        if cost[bv] != 0:
+            w = [v - cost[bv] * e for v, e in zip(w, E[r])]
+    status, phase2, D = _row_iterate(E, basis, columns, cost, w, D, art_start)
+    pivots = (phase1, phase2)
+    if status == UNBOUNDED:
+        return LpSolution(UNBOUNDED, None, None, pivots, _row_bits(E, D))
+
+    shifted = [ZERO] * total
+    for r, bv in enumerate(basis):
+        shifted[bv] = Rational(E[r][m], D)
+    for j, low in shifts:
+        shifted[j] += low
+    x = tuple(shifted[:n])
+    value = sum((c * x[j] for j, c in enumerate(problem.objective) if c != 0), ZERO)
+    return LpSolution(OPTIMAL, x, value, pivots, _row_bits(E, D))
+
+
+def _row_bits(E, D):
+    """Bit length of the largest int in E and D."""
+    return max(D.bit_length(), max((v.bit_length() for row in E for v in row), default=0))
+
+
+def _row_column(E, column):
+    """E·A_j from the nonzeros of column j: D times its tableau column."""
+    alpha = [0] * len(E)
+    for k, v in column:
+        alpha = [a + row[k] * v for a, row in zip(alpha, E)]
+    return alpha
+
+
+def _row_iterate(E, basis, columns, cost, w, D, allow):
+    """Run simplex pivots until optimal or unbounded; (status, pivots, D).
+
+    `allow` bounds the entering-column search: columns >= allow (the
+    artificials in phase 2) are never eligible. A row's ratio rhs/a
+    does not depend on D, so ratios compare by cross-multiplying.
+    """
+    m = len(w)
+    priced = list(zip(range(allow), columns, cost))
+    pivots = 0
+    while True:
+        for entering, column, c in priced:  # Bland: lowest eligible index
+            g = D * c
+            for r, v in column:
+                g += w[r] * v
+            if g > 0:
+                break
+        else:
+            return OPTIMAL, pivots, D
+        alpha = _row_column(E, columns[entering])
+        leaving = -1
+        for r, a in enumerate(alpha):
+            if a > 0:
+                t = E[r][m]
+                if leaving < 0:
+                    best_t, best_a, leaving = t, a, r
+                    continue
+                left, right = t * best_a, best_t * a
+                if left < right or (left == right and basis[r] < basis[leaving]):
+                    best_t, best_a, leaving = t, a, r
+        if leaving < 0:
+            return UNBOUNDED, pivots, D
+        D = _row_pivot(E, basis, leaving, entering, alpha, D, w, g)
+        pivots += 1
+
+
+def _row_pivot(E, basis, r, c, alpha, D, w, g):
+    """Make column c basic in row r and return the new D, the pivot p.
+
+    alpha is E·A_c and g is D times c's reduced cost; w is None when the
+    objective does not matter. Every other row x of E becomes
+    (p·x − a·y) // D, with a its entry in alpha and y row r, and w the
+    same with a = g; a row with a = 0 is thus rescaled by p/D. A
+    negative pivot entry (only an expulsion takes one) first negates
+    row r, so that D stays positive.
+    """
+    if alpha[r] < 0:
+        E[r] = [-v for v in E[r]]
+        alpha[r] = -alpha[r]
+    p = alpha[r]
+    row = E[r]
+    for i, a in enumerate(alpha):
+        if a != 0:
+            if i != r:
+                E[i] = [(p * v - a * y) // D for v, y in zip(E[i], row)]
+        elif p != D:
+            E[i] = [p * v // D for v in E[i]]
+    if w is not None:
+        # zip stops at w's end, before the rhs entry of row.
+        w[:] = [(p * v - g * y) // D for v, y in zip(w, row)]
+    basis[r] = c
+    return p
+
+
+def _row_expel_artificials(E, basis, columns, D, art_start):
+    """Pivot zero-level artificials out of the basis, drop redundant rows,
+    and return the new D."""
+    r = 0
+    while r < len(basis):
+        if basis[r] < art_start:
+            r += 1
+            continue
+        row = E[r]
+        for j in range(art_start):
+            if sum(row[k] * v for k, v in columns[j]) != 0:
+                D = _row_pivot(E, basis, r, j, _row_column(E, columns[j]), D, None, 0)
+                r += 1
+                break
+        else:
+            # The row reads 0 = 0 over real variables: redundant.
+            del E[r]
+            del basis[r]
+    return D
 
 
 class SameTree(CeubError):

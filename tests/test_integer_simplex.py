@@ -13,7 +13,13 @@ different scales and a negative pivot while expelling an artificial.
 The max-min programs of both generators, up to 8 agents by 8 items, are
 compared the same way. maxmin_lp writes its agent rows as "<= 0", which
 needs no phase 1; it must return the same lambda and shares as the
-">= 0" program."""
+">= 0" program.
+
+solve_lp packs each column of [E | rhs] into one int; tests/oracles.py
+keeps the kernel with one int list per row as row_solve_lp. The two
+must return equal LpSolutions, pivot counts and bits included, on the
+drawn problems, on every max-min program up to 8 by 8, and on problems
+whose fields are wider than 64 and than 128 bits."""
 
 from contextlib import contextmanager
 from unittest.mock import patch
@@ -28,11 +34,12 @@ from hypothesis import strategies as st
 from ceub import maxmin, simplex
 from ceub.generators import GenConfig, gen_instance, gen_structured_instance
 from ceub.maxmin import maxmin_lp
+from ceub.market import validate_instance
 from ceub.rationals import rat
 from ceub.simplex import EQUAL, GREATER, LESS, OPTIMAL, make_problem, solve_lp
 
 import oracles
-from oracles import fraction_solve_lp, maxmin_geq_program
+from oracles import fraction_solve_lp, maxmin_geq_program, row_solve_lp
 
 TIES = tuple(rat(v) for v in ("0", "1", "-1", "1/2", "-1/2"))
 WIDE = TIES + tuple(rat(v) for v in ("2", "-3", "5/3", "-7/4"))
@@ -149,3 +156,93 @@ def test_pivot_counts_per_phase():
     assert solve_lp(make_problem([1], [((1,), LESS, 3)])).pivots == (0, 1)
     sol = solve_lp(make_problem([-1], [((1,), GREATER, 2)], upper=[5]))
     assert sol.x == (2,) and sol.pivots == (1, 0)
+
+
+@PROPERTY
+@given(lp_problems())
+@example(make_problem([1], [((1,), GREATER, 1), ((1,), LESS, 0)]))  # infeasible
+@example(make_problem([1, 1], [((1, -1), LESS, 1)]))  # unbounded
+@example(
+    make_problem(  # redundant EQUAL rows, expelled after phase 1
+        [1, 0], [((1, 1), EQUAL, 2), ((1, 1), EQUAL, 2), ((-2, -2), EQUAL, -4)], upper=[2, 2]
+    )
+)
+@example(make_problem([0, 1], [((-1, 0), EQUAL, 0), ((0, 1), LESS, 1)]))  # negative pivot
+def test_packed_columns_match_the_row_kernel(problem):
+    assert solve_lp(problem) == row_solve_lp(problem)
+
+
+@pytest.mark.parametrize("generator", (gen_instance, gen_structured_instance))
+def test_maxmin_programs_match_the_row_kernel(generator):
+    for n in range(1, 9):
+        for m in range(1, 9):
+            problem = maxmin._program(generator(GenConfig(seed=n * 8 + m, agents=n, items=m)))
+            assert solve_lp(problem) == row_solve_lp(problem)
+
+
+def field_widths(problem):
+    """The field widths of every pivot solve_lp takes on problem."""
+    widths = []
+    pivot = simplex._pivot
+
+    def recorded(*args):
+        widths.append(args[8])
+        return pivot(*args)
+
+    with patch.object(simplex, "_pivot", recorded):
+        solve_lp(problem)
+    return set(widths)
+
+
+BIG = 2**100
+MERSENNE = 2**61 - 1
+
+
+def wide_maxmin_program(n, m):
+    """The max-min program of values (2^61 - 1) / 3^k, k = 0, 1, ..., so
+    that each agent row has the lcm 3^(k_max) of its denominators."""
+    return maxmin._program(
+        validate_instance([[rat(MERSENNE, 3 ** (i * m + j)) for j in range(m)] for i in range(n)])
+    )
+
+
+WIDE_PROBLEMS = [
+    wide_maxmin_program(1, 1),
+    wide_maxmin_program(2, 1),
+    wide_maxmin_program(2, 2),
+    wide_maxmin_program(3, 3),
+    wide_maxmin_program(4, 4),
+    # phase 1 over ">=" and "=" rows of coefficients near 2^100
+    make_problem(
+        [1, -2, 3],
+        [
+            ((BIG + 1, -BIG, rat(BIG, 3)), GREATER, BIG - 7),
+            ((rat(BIG - 1, 5), BIG, 1), EQUAL, 3 * BIG),
+            ((1, 1, 1), LESS, 2 * BIG),
+        ],
+    ),
+    # expulsion pivots on -(2^100 + 3), then phase 2 raises the second variable
+    make_problem([0, 1], [((-(BIG + 3), 0), EQUAL, 0), ((0, BIG - 1), LESS, BIG)]),
+    # the second and third rows repeat the first: expelled as redundant
+    make_problem(
+        [1, 0],
+        [
+            ((BIG, BIG + 1), EQUAL, 2 * BIG),
+            ((BIG, BIG + 1), EQUAL, 2 * BIG),
+            ((-2 * BIG, -2 * BIG - 2), EQUAL, -4 * BIG),
+        ],
+        upper=[2, 2],
+    ),
+]
+
+
+@pytest.mark.parametrize("problem", WIDE_PROBLEMS)
+def test_wide_fields_match_both_oracles(problem):
+    assert solve_lp(problem) == row_solve_lp(problem)
+    assert_same_run(problem)
+
+
+def test_wide_problems_need_wide_fields():
+    widths = set().union(*(field_widths(problem) for problem in WIDE_PROBLEMS))
+    assert any(64 < w <= 128 for w in widths)
+    assert max(widths) > 128

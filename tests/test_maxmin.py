@@ -8,7 +8,7 @@ import pytest
 
 from ceub import maxmin
 from ceub.errors import InternalVerificationFailed, WrongAgentCount, WrongItemCount
-from ceub.generators import GenConfig, gen_instance
+from ceub.generators import GenConfig, gen_instance, gen_structured_instance
 from ceub.market import make_allocation, utility, validate_instance, verify_equilibrium
 from ceub.maxmin import (
     check_maxmin_characterization,
@@ -16,7 +16,10 @@ from ceub.maxmin import (
     maxmin_two_agents,
     maxmin_two_items,
 )
-from ceub.rationals import rat
+from ceub.rationals import Rational, rat
+from ceub.simplex import LESS, make_problem
+
+from oracles import maxmin_geq_program
 
 
 def probe_bound(n: int) -> int:
@@ -216,3 +219,22 @@ def test_characterization_rejects_dominated_equal_utilities():
     diagonal = make_allocation([[1, 0], [0, 1]])
     assert utility(inst, diagonal, 0) == utility(inst, diagonal, 1)
     assert not check_maxmin_characterization(inst, diagonal)
+
+
+@pytest.mark.parametrize("generator", (gen_instance, gen_structured_instance))
+def test_program_is_already_normalized(generator):
+    # maxmin._program skips make_problem; it must build what make_problem
+    # would return from the same data, with every entry a Rational.
+    for n in range(1, 9):
+        for m in range(1, 9):
+            inst = generator(GenConfig(seed=n * 8 + m, agents=n, items=m))
+            p = maxmin._program(inst)
+            assert p == make_problem(p.objective, p.rows, p.lower, p.upper)
+            # The agent rows of the ">= 0" program, negated; the same item rows.
+            geq = maxmin_geq_program(inst)
+            agents = [(tuple(-c for c in coeffs), LESS, -rhs) for coeffs, _, rhs in geq.rows[:n]]
+            assert p.rows == tuple(agents) + geq.rows[n:]
+            assert p.objective == geq.objective
+            entries = p.objective + p.lower + tuple(v for row in p.rows for v in (*row[0], row[2]))
+            assert all(type(v) is Rational for v in entries)
+            assert p.upper == (None,) * (n * m + 1)
