@@ -38,6 +38,10 @@ from .rationals import format_rational
 from .scaling import support_with_details
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "trace": logging.DEBUG}
+# The root logger's one handler, made once per process; each call to
+# main sets the level and points it at the current stderr.
+_HANDLER = logging.StreamHandler()
+_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
 
 
 class _UsageError(Exception):
@@ -202,6 +206,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _configure_logging(level: int) -> None:
+    """Log at level to the current sys.stderr through _HANDLER alone, as
+    logging.basicConfig(force=True) would, without rebuilding it. The
+    stream is assigned rather than set with setStream, which would flush
+    the previous stream, and that one may be closed by now."""
+    root = logging.getLogger()
+    root.setLevel(level)
+    _HANDLER.stream = sys.stderr
+    if root.handlers != [_HANDLER]:
+        for handler in root.handlers[:]:
+            root.removeHandler(handler)
+            if handler is not _HANDLER:
+                handler.close()
+        root.addHandler(_HANDLER)
+
+
 def main(argv=None) -> int:
     level_name = os.environ.get("CEUB_LOG", "quiet")
     if level_name not in _LOG_LEVELS:
@@ -210,12 +230,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    logging.basicConfig(
-        level=_LOG_LEVELS[level_name],
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-        force=True,
-    )
+    _configure_logging(_LOG_LEVELS[level_name])
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

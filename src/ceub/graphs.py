@@ -68,16 +68,25 @@ class CycleShift:
 
 
 def build_graph(inst: Instance, alloc: Allocation) -> AllocationGraph:
-    """The bipartite sharing graph of an allocation."""
+    """The bipartite sharing graph of an allocation.
+
+    An Allocation is immutable, so its graph is built once and kept on
+    the object: make_cycle_free builds the graph of its result to find
+    no cycle there, and price_forest, given that result, reuses it.
+    """
     _check_dims(inst, alloc)
-    n, m = inst.agent_count, inst.item_count
-    agent_items = tuple(
-        tuple(j for j in range(m) if alloc.x[i][j] != 0) for i in range(n)
-    )
-    item_agents = tuple(
-        tuple(i for i in range(n) if alloc.x[i][j] != 0) for j in range(m)
-    )
-    return AllocationGraph(n, m, agent_items, item_agents)
+    g = vars(alloc).get("_graph")
+    if g is None:
+        n, m = inst.agent_count, inst.item_count
+        agent_items = tuple(
+            tuple(j for j in range(m) if alloc.x[i][j] != 0) for i in range(n)
+        )
+        item_agents = tuple(
+            tuple(i for i in range(n) if alloc.x[i][j] != 0) for j in range(m)
+        )
+        g = AllocationGraph(n, m, agent_items, item_agents)
+        object.__setattr__(alloc, "_graph", g)  # a frozen dataclass, outside its fields
+    return g
 
 
 def find_cycle(g: AllocationGraph) -> SimpleCycle | None:

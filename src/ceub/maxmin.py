@@ -15,26 +15,38 @@ Three solvers:
 * maxmin_two_items: m = 2, sort agents by relative preference and
   binary-search the one agent who splits across both items; O(log n)
   candidate evaluations after the sort, also emits checked prices/budgets.
+
+All three return only what the one settle check, _settle, has passed.
+It runs on ints: the shares and lambda over one common denominator D
+(for maxmin_lp the basis determinant of the simplex, whose levels it
+takes as they are; for the fast paths the lcm of their denominators),
+and each agent's values over s_i, the lcm of theirs. It requires every
+share in [0, D], every item's shares to sum to exactly D, and every
+agent's utility, scaled by s_i·D, to equal s_i times lambda's level;
+anything else raises InternalVerificationFailed. maxmin_lp builds its
+Rationals only after the check.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from math import lcm
+from operator import mul
 
+from . import simplex
 from .errors import InternalVerificationFailed, WrongAgentCount, WrongItemCount
 from .market import (
     Allocation,
     Instance,
     bundle_cost,
     bundle_utility,
-    make_allocation,
     utility,
     verify_equilibrium,
     verify_pareto_optimal,
 )
 from .rationals import ONE, ZERO, Rational
-from .simplex import LESS, OPTIMAL, LpProblem, solve_lp
+from .simplex import LESS, OPTIMAL
 
 log = logging.getLogger(__name__)
 
@@ -81,68 +93,99 @@ class MaxMinResult:
 def maxmin_lp(inst: Instance) -> MaxMinResult:
     """Max-min allocation for any instance shape, via the exact LP.
 
-    Each agent row reads lambda - sum_j v_ij x_ij <= 0, so the origin
-    with every slack basic is feasible and the simplex needs no phase 1.
+    max lambda s.t. lambda - sum_j v_ij x_ij <= 0 for each agent i and
+    sum_i x_ij <= 1 for each item j. The program goes to the simplex's
+    integer core as sparse int columns built from inst.values: agent
+    row i is scaled by s_i, the lcm of its value denominators, so x_ij
+    is -v_ij*s_i in row i and 1 in item row j, and lambda is s_i in
+    every agent row. The rhs is 0 in agent rows and 1 in item rows, so
+    the origin with every slack basic is feasible and the simplex needs
+    no phase 1.
 
     Exact optima of the LP arrive with every utility equal to the
     optimum and every item fully allocated: any slack or any agent
     above the minimum could be redistributed to raise the minimum, so
-    neither survives at an optimum. The settling pass verifies both
-    facts, treating a violation as a solver bug rather than patching it.
+    neither survives at an optimum. _settle verifies both facts on the
+    solver's ints, treating a violation as a solver bug rather than
+    patching it; Rationals are built only after it passes.
     """
     n, m = inst.agent_count, inst.item_count
-    problem = _program(inst)
-    solution = solve_lp(problem)
-    if solution.status != OPTIMAL:
-        raise InternalVerificationFailed(f"max-min program {solution.status}")
-    lam = solution.x[n * m]
-    shares = [[solution.x[i * m + j] for j in range(m)] for i in range(n)]
-    alloc = _settle(inst, shares, lam)
-    log.info(
-        "max-min LP %dx%d: %d rows, %d columns, pivots %d+%d, %d bits, lambda=%s",
-        n, m, len(problem.rows), problem.var_count, *solution.pivots, solution.bits, lam,
-    )
-    return MaxMinResult(alloc, lam)
-
-
-def _program(inst: Instance) -> LpProblem:
-    """max lambda s.t. lambda - sum_j v_ij x_ij <= 0 for each agent i and
-    sum_i x_ij <= 1 for each item j; x_ij is variable i*m + j, lambda
-    the last. Built as the LpProblem that make_problem would return,
-    without its per-entry checks: every entry is already a Rational."""
-    n, m = inst.agent_count, inst.item_count
     lam_var = n * m
-    zeros = [ZERO] * (lam_var + 1)
-    rows = []
-    for i, values in enumerate(inst.values):
-        coeffs = zeros.copy()
-        coeffs[i * m:(i + 1) * m] = [-v for v in values]
-        coeffs[lam_var] = ONE
-        rows.append((tuple(coeffs), LESS, ZERO))
-    for j in range(m):
-        coeffs = zeros.copy()
-        coeffs[j:lam_var:m] = [ONE] * n
-        rows.append((tuple(coeffs), LESS, ONE))
-    objective = zeros.copy()
-    objective[lam_var] = ONE
-    return LpProblem(tuple(objective), tuple(rows), tuple(zeros), (None,) * (lam_var + 1))
+    weights, scales = _weights(inst)
+    columns = [[(i, -a), (n + j, 1)] for i, row in enumerate(weights) for j, a in enumerate(row)]
+    columns.append(list(enumerate(scales)))
+    cost = [0] * lam_var + [1]
+    status, pivots, basis, levels, D, cols, width = simplex._solve(
+        columns, [LESS] * (n + m), scales + [1] * m, [0] * n + [1] * m, cost
+    )
+    if status != OPTIMAL:
+        raise InternalVerificationFailed(f"max-min program {status}")
+    shares = [[0] * m for _ in range(n)]
+    lam_level = 0
+    for bv, level in zip(basis, levels):
+        if bv < lam_var:
+            shares[bv // m][bv % m] = level
+        elif bv == lam_var:
+            lam_level = level
+    _settle(weights, scales, shares, lam_level, D)
+    rows = [[Rational(level, D) if level else ZERO for level in row] for row in shares]
+    lam = Rational(lam_level, D)
+    if log.isEnabledFor(logging.INFO):
+        log.info(
+            "max-min LP %dx%d: %d rows, %d columns, pivots %d+%d, %d bits, lambda=%s",
+            n, m, n + m, lam_var + 1, *pivots, simplex._read_off(cols, n + m, width, D), lam,
+        )
+    return MaxMinResult(Allocation(tuple(map(tuple, rows))), lam)
 
 
-def _settle(inst: Instance, shares, lam) -> Allocation:
-    """The allocation of shares, if every item is sold and every agent
-    is at utility lam; anything else is a solver bug."""
-    n, m = inst.agent_count, inst.item_count
-    for j in range(m):
-        total = sum((shares[i][j] for i in range(n)), ZERO)
-        if total != 1:
-            raise InternalVerificationFailed(f"item {j} has column sum {total}, not 1")
-    alloc = make_allocation(shares)
-    for i in range(n):
-        if utility(inst, alloc, i) != lam:
+def _weights(inst: Instance):
+    """Each agent's values as ints over s_i, the lcm of their
+    denominators: (weights, scales) with weights[i][j] = v_ij * s_i."""
+    weights = []
+    scales = []
+    for row in inst.values:
+        ints, scale = simplex._integral(row)
+        weights.append(ints)
+        scales.append(scale)
+    return weights, scales
+
+
+def _settle(weights, scales, shares, lam, D) -> None:
+    """Check, on ints, the allocation of shares[i][j] / D at utility
+    lam / D: every share in [0, 1], every item sold exactly once, and
+    every agent at exactly lam / D, that is sum_j shares[i][j] *
+    weights[i][j] = scales[i] * lam. Anything else is a solver bug."""
+    for i, row in enumerate(shares):
+        for j, level in enumerate(row):
+            if level < 0 or level > D:
+                raise InternalVerificationFailed(
+                    f"share x[{i}][{j}] = {Rational(level, D)} outside [0, 1]"
+                )
+    for j, column in enumerate(zip(*shares)):
+        total = sum(column)
+        if total != D:
+            raise InternalVerificationFailed(f"item {j} has column sum {Rational(total, D)}, not 1")
+    for i, (row, ints, scale) in enumerate(zip(shares, weights, scales)):
+        total = sum(map(mul, row, ints))
+        if total != scale * lam:
             raise InternalVerificationFailed(
-                f"agent {i} settled at utility {utility(inst, alloc, i)}, not {lam}"
+                f"agent {i} settled at utility {Rational(total, scale * D)}, not {Rational(lam, D)}"
             )
-    return alloc
+
+
+def _settle_rationals(inst: Instance, rows, lam) -> Allocation:
+    """The allocation of the Rational shares rows, once _settle has
+    checked them at utility lam, all over their common denominator."""
+    D = lcm(int(lam.denominator), *(int(v.denominator) for row in rows for v in row))
+    weights, scales = _weights(inst)
+    _settle(
+        weights,
+        scales,
+        [[int(v.numerator) * (D // int(v.denominator)) for v in row] for row in rows],
+        int(lam.numerator) * (D // int(lam.denominator)),
+        D,
+    )
+    return Allocation(tuple(map(tuple, rows)))
 
 
 def _check_support(inst: Instance, alloc: Allocation, prices, budgets) -> None:
@@ -194,7 +237,7 @@ def maxmin_two_agents(inst: Instance) -> MaxMinResult:
     rows[0][js] = frac
     rows[1][js] = ONE - frac
     lam = bundle_utility(inst, rows[0], 0)
-    alloc = _settle(inst, rows, lam)
+    alloc = _settle_rationals(inst, rows, lam)
 
     prices = tuple(v0)
     budgets = tuple(bundle_cost(alloc.x[i], prices) for i in range(2))
@@ -267,7 +310,7 @@ def maxmin_two_items(inst: Instance) -> MaxMinResult:
         rows[perm[t]][1] = w * inv1[t]
     rows[perm[k]][0] = xk0
     rows[perm[k]][1] = xk1
-    alloc = _settle(inst, rows, w)
+    alloc = _settle_rationals(inst, rows, w)
 
     split_agent = perm[k]
     prices = (v[split_agent][0], v[split_agent][1])

@@ -6,6 +6,17 @@ multiplier and welfare programs, the demand-oracle cross-check).
 Everything is exact, and optimality/infeasibility/unboundedness are
 decided by exact sign tests, so there are no tolerances anywhere.
 
+It has two doors and one integer core. ``solve_lp`` is the Rational
+door: it takes an ``LpProblem``, shifts the variables by their lower
+bounds, turns upper bounds into rows, scales each row to ints and reads
+the optimum back as Rationals. ``maxmin.maxmin_lp`` is the integer
+door: it builds the sparse int columns of the max-min program straight
+from the valuations and reads its own answer off the ints. Both hand
+the core, ``_solve``, the same thing: sparse int columns, a relation, a
+scale and a nonnegative int rhs per row, and an int objective. The core
+starts the basis, runs both phases and returns the basic levels and D
+as ints.
+
 It is the revised simplex (Dantzig & Orchard-Hays 1954) kept
 fraction-free in the manner of Edmonds (1967) and Bareiss (1968). The
 constraint matrix is never rewritten: it is held as sparse int columns
@@ -50,8 +61,9 @@ Pivots depend only on signs and on ratios within a column, and neither
 depends on D, on the column scales or on how E is stored, so the pivot
 sequence is the one the Rational tableau would take (tests/oracles.py
 keeps that tableau as fraction_solve_lp, and this simplex with one int
-list per row of E as row_solve_lp). Rationals appear only on entry,
-where rows are scaled to ints, and on exit, where x is read off.
+list per row of E as row_solve_lp). Rationals appear only in the doors:
+in solve_lp on entry, where rows are scaled to ints, and on exit, where
+x is read off; in maxmin_lp only on exit.
 
 Conventions
 -----------
@@ -75,8 +87,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, lcm
-from operator import mul
+from math import isqrt, lcm, prod
 
 from .errors import MalformedProblem
 from .rationals import ONE, ZERO, Rational, rat
@@ -168,19 +179,13 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         if bound is not None:
             work.append(([(j, ONE)], LESS, bound - problem.lower[j]))
 
-    # Sparse int columns: the n structural columns, then a slack or
-    # surplus per "<="/">=" row, then an artificial per ">="/"=" row.
-    # Row r is scaled by the lcm s_r of its denominators, and negated if
-    # its rhs is negative; its slack, surplus and artificial are scaled
-    # by s_r too, so they keep the entries +-1, and the starting basis
-    # is the identity. The squared norms of the full rows, b included,
-    # give the field width.
-    m = len(work)
+    # Sparse int columns of the n structural variables. Row r is scaled
+    # by the lcm s_r of its denominators, and negated if its rhs is
+    # negative.
     columns = [[] for _ in range(n)]
     relations = []
     scales = []
     b = []
-    hadamard = 1
     for r, (terms, relation, rhs) in enumerate(work):
         ints, scale = _integral([c for _, c in terms] + [rhs])
         if ints[-1] < 0:
@@ -191,10 +196,56 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         relations.append(relation)
         scales.append(scale)
         b.append(ints[-1])
-        hadamard *= sum(map(mul, ints, ints)) + 1 + (relation == GREATER)
-    width = isqrt(hadamard).bit_length() + 1
+    cost, scale = _integral(problem.objective)
+    status, pivots, basis, levels, D, cols, width = _solve(columns, relations, scales, b, cost)
+    bits = _read_off(cols, len(basis), width, D)
+    if status != OPTIMAL:
+        return LpSolution(status, None, None, pivots, bits)
+
+    # c·x = c_B·levels / (scale·D) in the shifted space, plus c·lower.
+    shifted = [ZERO] * n
+    total = 0
+    for bv, level in zip(basis, levels):
+        if bv < n:
+            shifted[bv] = Rational(level, D)
+            total += cost[bv] * level
+    value = Rational(total, scale * D)
+    for j, low in shifts:
+        shifted[j] += low
+        value += problem.objective[j] * low
+    return LpSolution(OPTIMAL, tuple(shifted), value, pivots, bits)
+
+
+def _solve(columns, relations, scales, b, cost):
+    """The integer core: both phases of the simplex on sparse int columns.
+
+    columns are the structural columns, each a list of (row, int) for
+    its nonzeros in row order; relations, scales and b give each row's
+    relation, the positive scale s_r it was multiplied by and its rhs,
+    which must be nonnegative; cost is the objective on the structural
+    columns, as ints. Each row gets a slack or surplus, and an
+    artificial if it is not "<=", so the starting basis is the identity.
+
+    Returns (status, (phase-1, phase-2) pivots, basis, levels, D, cols,
+    width): levels are the basic levels times D, and cols the packed
+    columns of [E | rhs] in fields of width bits; an infeasible problem
+    returns as phase 1 left it.
+    """
+    m = len(b)
+    n = len(columns)
+    columns = list(columns)
+    # Hadamard's bound on the minors of [A | slacks | artificials | b]:
+    # the product of its row norms, each at least 1.
+    norms = [v * v + 1 + (relation == GREATER) for v, relation in zip(b, relations)]
+    for column in columns:
+        for r, v in column:
+            norms[r] += v * v
+    width = isqrt(prod(norms)).bit_length() + 1
     cols = [1 << (k * width) for k in range(m)]
     cols.append(_pack(b, width))
+    # Then a slack or surplus per "<="/">=" row and an artificial per
+    # ">="/"=" row. They stand for s_r times the rational ones, so they
+    # keep the entries +-1, and the starting basis is the identity.
     basis = [None] * m
     for r, relation in enumerate(relations):
         if relation != EQUAL:
@@ -216,45 +267,32 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     phase1 = 0
     if art_start < total:
         common = lcm(*(scales[r] for r in range(m) if basis[r] >= art_start))
-        cost = [0] * total
+        phase1_cost = [0] * total
         for r in range(m):
             if basis[r] >= art_start:
-                cost[basis[r]] = -(common // scales[r])
-        w = [-cost[bv] for bv in basis]
-        status, phase1, D = _iterate(cols, basis, columns, cost, w, D, total, width)
+                phase1_cost[basis[r]] = -(common // scales[r])
+        w = [-phase1_cost[bv] for bv in basis]
+        status, phase1, D = _iterate(cols, basis, columns, phase1_cost, w, D, total, width)
         if status == UNBOUNDED:  # cannot happen: phase-1 objective is bounded by 0
             raise MalformedProblem("phase-1 objective unbounded; solver invariant broken")
         # Basic levels are nonnegative, so their sum is zero only if each is.
-        levels, bits = _read_off(cols, m, width, D)
+        levels = _unpack(cols[m], m, width)
         if any(levels[r] != 0 for r in range(m) if basis[r] >= art_start):
-            return LpSolution(INFEASIBLE, None, None, (phase1, 0), bits)
+            return INFEASIBLE, (phase1, 0), basis, levels, D, cols, width
         D = _expel_artificials(cols, basis, columns, D, art_start, width)
 
     # ------------------------------------------------------------------
     # Phase 2: the real objective, w = -c_B·E against the current basis.
     # Artificial columns are dead; they never re-enter.
     # ------------------------------------------------------------------
-    ints, scale = _integral(problem.objective)
-    cost = ints + [0] * (total - n)
+    cost = cost + [0] * (total - n)
     w = [0] * m
     for r, bv in enumerate(basis):
         if cost[bv] != 0:
             w = [v - cost[bv] * e for v, e in zip(w, _row(cols, r, width))]
     status, phase2, D = _iterate(cols, basis, columns, cost, w, D, art_start, width)
-    pivots = (phase1, phase2)
-    levels, bits = _read_off(cols, len(basis), width, D)
-    if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED, None, None, pivots, bits)
-
-    # c·x = c_B·levels / (scale·D) in the shifted space, plus c·lower.
-    shifted = [ZERO] * total
-    for bv, level in zip(basis, levels):
-        shifted[bv] = Rational(level, D)
-    value = Rational(sum(map(mul, (cost[bv] for bv in basis), levels)), scale * D)
-    for j, low in shifts:
-        shifted[j] += low
-        value += problem.objective[j] * low
-    return LpSolution(OPTIMAL, tuple(shifted[:n]), value, pivots, bits)
+    levels = _unpack(cols[-1], len(basis), width)
+    return status, (phase1, phase2), basis, levels, D, cols, width
 
 
 def _integral(values):
@@ -296,12 +334,11 @@ def _row(cols, r, width):
 
 
 def _read_off(cols, count, width, D):
-    """The rhs column of [E | rhs] and the bit length of the largest int
-    in E, the rhs and D, from one decode: the columns packed end to end
-    are the entries of [E | rhs] as count·(m + 1) fields."""
+    """The bit length of the largest int in E, the rhs and D, from one
+    decode of every field: the columns packed end to end are the entries
+    of [E | rhs] as count·(m + 1) fields."""
     entries = _unpack(_pack(cols, count * width), len(cols) * count, width)
-    bits = max(D.bit_length(), max(map(int.bit_length, entries), default=0))
-    return entries[len(entries) - count:], bits
+    return max(D.bit_length(), max(map(int.bit_length, entries), default=0))
 
 
 def _column(cols, column):
@@ -337,7 +374,9 @@ def _iterate(cols, basis, columns, cost, w, D, allow, width):
         else:
             return OPTIMAL, pivots, D
         alpha = _column(cols, columns[entering])
-        # alpha and the rhs decode as in _unpack, a row at a time.
+        # alpha and the rhs decode as in _unpack, a row at a time and
+        # each field once: the rhs only where alpha is positive, and the
+        # pivot entry is handed on to _pivot.
         lifted = alpha + bias
         levels = cols[m] + bias
         leaving = -1
@@ -353,29 +392,30 @@ def _iterate(cols, basis, columns, cost, w, D, allow, width):
                     best_t, best_a, leaving = t, a, r
         if leaving < 0:
             return UNBOUNDED, pivots, D
-        D = _pivot(cols, basis, leaving, entering, alpha, D, w, g, width)
+        D = _pivot(cols, basis, leaving, entering, alpha, D, w, g, width, best_a)
         pivots += 1
 
 
-def _pivot(cols, basis, r, c, alpha, D, w, g, width):
-    """Make column c basic in row r and return the new D, the pivot p.
+def _pivot(cols, basis, r, c, alpha, D, w, g, width, p):
+    """Make column c basic in row r and return the new D, |p|.
 
-    alpha is E·A_c packed and g is D times c's reduced cost; w is None
-    when the objective does not matter. With y row r of [E | rhs] and
-    field r of alpha changed from p to p − D, every column x becomes
-    (p·x − y_k·alpha) // D: field i ≠ r is the Bareiss step
-    (p·x_i − a_i·y_k) / D, and field r is (p·y_k − (p − D)·y_k) / D = y_k.
-    w becomes (p·w − g·y) // D. A negative pivot entry (only an
-    expulsion takes one) negates row r, so that D stays positive: p and
-    y change sign, and the same alpha, now −p − D in field r, leaves
-    −y_k there.
+    alpha is E·A_c packed, p its field r, the pivot entry, and g is D
+    times c's reduced cost; w is None when the objective does not
+    matter. With y row r of [E | rhs] and field r of alpha changed from
+    p to p − D, every column x becomes (p·x − y_k·alpha) // D: field
+    i ≠ r is the Bareiss step (p·x_i − a_i·y_k) / D, and field r is
+    (p·y_k − (p − D)·y_k) / D = y_k. A column with y_k = 0 skips the
+    alpha product. w becomes (p·w − g·y) // D. A negative pivot entry
+    (only an expulsion takes one) negates row r, so that D stays
+    positive: p and y change sign, and the same alpha, now −p − D in
+    field r, leaves −y_k there.
     """
-    *y, p = _row([*cols, alpha], r, width)
+    y = _row(cols, r, width)
     if p < 0:
         p = -p
         y = [-v for v in y]
     alpha -= D << r * width
-    cols[:] = [(p * x - v * alpha) // D for x, v in zip(cols, y)]
+    cols[:] = [(p * x - v * alpha) // D if v else p * x // D for x, v in zip(cols, y)]
     if w is not None:
         # zip stops at w's end, before the rhs entry of y.
         w[:] = [(p * v - g * e) // D for v, e in zip(w, y)]
@@ -393,8 +433,9 @@ def _expel_artificials(cols, basis, columns, D, art_start, width):
             continue
         row = _row(cols, r, width)
         for j in range(art_start):
-            if sum(row[k] * v for k, v in columns[j]) != 0:
-                D = _pivot(cols, basis, r, j, _column(cols, columns[j]), D, None, 0, width)
+            p = sum(row[k] * v for k, v in columns[j])
+            if p != 0:
+                D = _pivot(cols, basis, r, j, _column(cols, columns[j]), D, None, 0, width, p)
                 r += 1
                 break
         else:

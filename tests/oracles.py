@@ -12,6 +12,10 @@ simplex as it stood before its columns were packed: E = D·B⁻¹ as one
 list of ints per row, updated entry by entry; solve_lp must return the
 same LpSolution, pivots and bits included. maxmin_geq_program is the
 max-min LP with its agent rows written as ">= 0", which needs phase 1.
+maxmin_program is the "<= 0" max-min LP as an LpProblem, and lp_maxmin
+is maxmin_lp as it stood before it handed its int columns straight to
+the simplex's integer core: solve_lp on maxmin_program, then
+rational_settle, the settle check on Rationals.
 eager_support_with_details is the pricing pipeline as it stood before
 the equilibrium became the Pareto certificate: the exchange-graph
 verifier first, then the construction, then every bundle of y checked
@@ -68,9 +72,11 @@ from ceub.market import (
     bundle_cost,
     is_in_demand_set,
     make_allocation,
+    utility,
     verify_equilibrium,
     verify_pareto_optimal,
 )
+from ceub.maxmin import MaxMinResult
 from ceub.scaling import (
     Equilibrium,
     GainState,
@@ -319,6 +325,60 @@ def maxmin_geq_program(inst) -> LpProblem:
             coeffs[i * m + j] = ONE
         rows.append((coeffs, LESS, ONE))
     return make_problem(objective, rows)
+
+
+def maxmin_program(inst) -> LpProblem:
+    """max lambda s.t. lambda - sum_j v_ij x_ij <= 0 for each agent i and
+    sum_i x_ij <= 1 for each item j; x_ij is variable i*m + j, lambda
+    the last. Built as the LpProblem that make_problem would return,
+    without its per-entry checks: every entry is already a Rational."""
+    n, m = inst.agent_count, inst.item_count
+    lam_var = n * m
+    zeros = [ZERO] * (lam_var + 1)
+    rows = []
+    for i, values in enumerate(inst.values):
+        coeffs = zeros.copy()
+        coeffs[i * m:(i + 1) * m] = [-v for v in values]
+        coeffs[lam_var] = ONE
+        rows.append((tuple(coeffs), LESS, ZERO))
+    for j in range(m):
+        coeffs = zeros.copy()
+        coeffs[j:lam_var:m] = [ONE] * n
+        rows.append((tuple(coeffs), LESS, ONE))
+    objective = zeros.copy()
+    objective[lam_var] = ONE
+    return LpProblem(tuple(objective), tuple(rows), tuple(zeros), (None,) * (lam_var + 1))
+
+
+def lp_maxmin(inst):
+    """maxmin_lp as it stood before it reached the simplex's integer
+    core directly: solve_lp on maxmin_program, then rational_settle.
+    Returns (MaxMinResult, LpSolution)."""
+    n, m = inst.agent_count, inst.item_count
+    solution = solve_lp(maxmin_program(inst))
+    if solution.status != OPTIMAL:
+        raise InternalVerificationFailed(f"max-min program {solution.status}")
+    lam = solution.x[n * m]
+    shares = [[solution.x[i * m + j] for j in range(m)] for i in range(n)]
+    return MaxMinResult(rational_settle(inst, shares, lam), lam), solution
+
+
+def rational_settle(inst, shares, lam) -> Allocation:
+    """The allocation of shares, if every item is sold and every agent
+    is at utility lam; anything else is a solver bug. The check on
+    Rationals that maxmin._settle makes on ints."""
+    n, m = inst.agent_count, inst.item_count
+    for j in range(m):
+        total = sum((shares[i][j] for i in range(n)), ZERO)
+        if total != 1:
+            raise InternalVerificationFailed(f"item {j} has column sum {total}, not 1")
+    alloc = make_allocation(shares)
+    for i in range(n):
+        if utility(inst, alloc, i) != lam:
+            raise InternalVerificationFailed(
+                f"agent {i} settled at utility {utility(inst, alloc, i)}, not {lam}"
+            )
+    return alloc
 
 
 def fraction_solve_lp(problem: LpProblem) -> LpSolution:

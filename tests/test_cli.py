@@ -7,6 +7,7 @@ the same wrapper an installer writes, so no install is needed.
 """
 
 import json
+import logging
 import os
 import re
 import subprocess
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from ceub import cli, scaling
+from ceub import cli, scaling, simplex
 from ceub.cli import main
 from ceub.formats import dump_allocation, dump_instance, load_equilibrium, load_maxmin
 from ceub.market import make_allocation, validate_instance
@@ -271,6 +272,34 @@ def test_info_logging_reports_the_maxmin_lp(tmp_path, capsys, monkeypatch):
     assert main(["maxmin", instance, "-o", str(tmp_path / "o.json")]) == 0
     err = capsys.readouterr().err
     assert err == "INFO ceub.maxmin: max-min LP 2x1: 3 rows, 3 columns, pivots 0+3, 7 bits, lambda=99/100\n"
+
+
+def test_logging_is_set_per_call_on_one_handler(tmp_path, capsys, monkeypatch):
+    # One process, three calls: the level follows CEUB_LOG on each, and
+    # the root logger keeps exactly one handler, on the current stderr.
+    instance, _ = write_toy(tmp_path)
+    out = str(tmp_path / "o.json")
+    line = "INFO ceub.maxmin: max-min LP 2x1: 3 rows, 3 columns, pivots 0+3, 7 bits, lambda=99/100\n"
+    handlers = []
+    for level, expected in (("info", line), ("quiet", ""), ("info", line)):
+        monkeypatch.setenv("CEUB_LOG", level)
+        assert main(["maxmin", instance, "-o", out]) == 0
+        assert capsys.readouterr().err == expected
+        assert len(logging.getLogger().handlers) == 1
+        handlers.append(logging.getLogger().handlers[0])
+    assert handlers[0] is handlers[1] is handlers[2]
+
+
+def test_quiet_maxmin_skips_the_all_fields_decode(tmp_path, capsys, monkeypatch):
+    # The info line's bit count decodes every field of [E | rhs]; with
+    # logging off, maxmin_lp must not pay for it.
+    def refuse(*args):
+        raise AssertionError("all-fields decode with logging off")
+
+    monkeypatch.setattr(simplex, "_read_off", refuse)
+    instance, _ = write_toy(tmp_path)
+    assert main(["maxmin", instance, "-o", str(tmp_path / "o.json")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_info_logging_reports_the_multipliers(tmp_path, capsys, monkeypatch):

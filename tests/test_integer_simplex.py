@@ -19,8 +19,16 @@ solve_lp packs each column of [E | rhs] into one int; tests/oracles.py
 keeps the kernel with one int list per row as row_solve_lp. The two
 must return equal LpSolutions, pivot counts and bits included, on the
 drawn problems, on every max-min program up to 8 by 8, and on problems
-whose fields are wider than 64 and than 128 bits."""
+whose fields are wider than 64 and than 128 bits.
 
+maxmin_lp builds its int columns from the instance and hands them to
+the simplex's integer core, without an LpProblem; tests/oracles.py keeps
+the route it replaced as lp_maxmin (solve_lp on maxmin_program, then a
+settle check on Rationals). The two must make the same pivots and
+return the same result and info line on every shape up to 8 by 8 and on
+values whose fields are wider than 64 bits."""
+
+import logging
 from contextlib import contextmanager
 from unittest.mock import patch
 
@@ -31,7 +39,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ceub import maxmin, simplex
+from ceub import simplex
 from ceub.generators import GenConfig, gen_instance, gen_structured_instance
 from ceub.maxmin import maxmin_lp
 from ceub.market import validate_instance
@@ -39,7 +47,7 @@ from ceub.rationals import rat
 from ceub.simplex import EQUAL, GREATER, LESS, OPTIMAL, make_problem, solve_lp
 
 import oracles
-from oracles import fraction_solve_lp, maxmin_geq_program, row_solve_lp
+from oracles import fraction_solve_lp, lp_maxmin, maxmin_geq_program, maxmin_program, row_solve_lp
 
 TIES = tuple(rat(v) for v in ("0", "1", "-1", "1/2", "-1/2"))
 WIDE = TIES + tuple(rat(v) for v in ("2", "-3", "5/3", "-7/4"))
@@ -121,7 +129,7 @@ def test_integer_tableau_matches_the_fraction_simplex(problem):
 @example(seed=8, n=8, m=8, generator=gen_instance)
 @example(seed=8, n=8, m=8, generator=gen_structured_instance)
 def test_maxmin_programs_pivot_like_the_fraction_simplex(seed, n, m, generator):
-    assert_same_run(maxmin._program(generator(GenConfig(seed=seed, agents=n, items=m))))
+    assert_same_run(maxmin_program(generator(GenConfig(seed=seed, agents=n, items=m))))
 
 
 def assert_same_run(problem):
@@ -176,12 +184,12 @@ def test_packed_columns_match_the_row_kernel(problem):
 def test_maxmin_programs_match_the_row_kernel(generator):
     for n in range(1, 9):
         for m in range(1, 9):
-            problem = maxmin._program(generator(GenConfig(seed=n * 8 + m, agents=n, items=m)))
+            problem = maxmin_program(generator(GenConfig(seed=n * 8 + m, agents=n, items=m)))
             assert solve_lp(problem) == row_solve_lp(problem)
 
 
-def field_widths(problem):
-    """The field widths of every pivot solve_lp takes on problem."""
+def field_widths(solve, arg):
+    """The field widths of every pivot solve(arg) takes."""
     widths = []
     pivot = simplex._pivot
 
@@ -190,7 +198,7 @@ def field_widths(problem):
         return pivot(*args)
 
     with patch.object(simplex, "_pivot", recorded):
-        solve_lp(problem)
+        solve(arg)
     return set(widths)
 
 
@@ -198,12 +206,16 @@ BIG = 2**100
 MERSENNE = 2**61 - 1
 
 
-def wide_maxmin_program(n, m):
-    """The max-min program of values (2^61 - 1) / 3^k, k = 0, 1, ..., so
-    that each agent row has the lcm 3^(k_max) of its denominators."""
-    return maxmin._program(
-        validate_instance([[rat(MERSENNE, 3 ** (i * m + j)) for j in range(m)] for i in range(n)])
+def wide_instance(n, m):
+    """Values (2^61 - 1) / 3^k, k = 0, 1, ..., so that each agent row
+    has the lcm 3^(k_max) of its denominators."""
+    return validate_instance(
+        [[rat(MERSENNE, 3 ** (i * m + j)) for j in range(m)] for i in range(n)]
     )
+
+
+def wide_maxmin_program(n, m):
+    return maxmin_program(wide_instance(n, m))
 
 
 WIDE_PROBLEMS = [
@@ -243,6 +255,45 @@ def test_wide_fields_match_both_oracles(problem):
 
 
 def test_wide_problems_need_wide_fields():
-    widths = set().union(*(field_widths(problem) for problem in WIDE_PROBLEMS))
+    widths = set().union(*(field_widths(solve_lp, problem) for problem in WIDE_PROBLEMS))
     assert any(64 < w <= 128 for w in widths)
     assert max(widths) > 128
+
+
+# ------------------------------------------------- the max-min integer door
+
+
+def assert_same_maxmin(inst, caplog):
+    """maxmin_lp, from inst.values to the integer core, against solve_lp
+    on the reference program and the Rational settle: the same pivots,
+    field width, result and info line."""
+    n, m = inst.agent_count, inst.item_count
+    caplog.clear()
+    with pivot_path(simplex, "_pivot", 2) as new_path, caplog.at_level(logging.INFO, "ceub.maxmin"):
+        new = maxmin_lp(inst)
+    with pivot_path(simplex, "_pivot", 2) as old_path:
+        old, solution = lp_maxmin(inst)
+    assert new_path and new_path == old_path
+    assert new == old
+    assert field_widths(maxmin_lp, inst) == field_widths(solve_lp, maxmin_program(inst))
+    assert [r.getMessage() for r in caplog.records if r.name == "ceub.maxmin"] == [
+        f"max-min LP {n}x{m}: {n + m} rows, {n * m + 1} columns,"
+        f" pivots {solution.pivots[0]}+{solution.pivots[1]}, {solution.bits} bits,"
+        f" lambda={old.lam}"
+    ]
+
+
+@pytest.mark.parametrize("generator", (gen_instance, gen_structured_instance))
+def test_maxmin_lp_matches_solve_lp_on_the_reference_program(generator, caplog):
+    for n in range(1, 9):
+        for m in range(1, 9):
+            assert_same_maxmin(generator(GenConfig(seed=n * 8 + m, agents=n, items=m)), caplog)
+
+
+@pytest.mark.parametrize("shape", ((1, 1), (2, 1), (2, 2), (3, 3), (4, 4)))
+def test_wide_values_go_through_the_integer_door(shape, caplog):
+    assert_same_maxmin(wide_instance(*shape), caplog)
+
+
+def test_the_integer_door_takes_wide_fields():
+    assert min(field_widths(maxmin_lp, wide_instance(4, 4))) > 64

@@ -19,7 +19,7 @@ from ceub.maxmin import (
 from ceub.rationals import Rational, rat
 from ceub.simplex import LESS, make_problem
 
-from oracles import maxmin_geq_program
+from oracles import maxmin_geq_program, maxmin_program
 
 
 def probe_bound(n: int) -> int:
@@ -89,6 +89,73 @@ def test_lp_logs_one_info_line(caplog):
     with caplog.at_level(logging.WARNING, logger="ceub.maxmin"):
         maxmin_lp(inst)
     assert not [r for r in caplog.records if r.name == "ceub.maxmin"]
+
+
+# ---------------------------------------------------------------- settle
+
+# [[3, 1], [1, 3]] at D = 2: each agent holds its favourite item whole,
+# utility 3, that is lam = 6 over D.
+SETTLED = dict(weights=[[3, 1], [1, 3]], scales=[1, 1], shares=[[2, 0], [0, 2]], lam=6, D=2)
+
+
+def settle(**changes):
+    args = {**SETTLED, **changes}
+    maxmin._settle(args["weights"], args["scales"], args["shares"], args["lam"], args["D"])
+
+
+def test_settle_accepts_a_settled_allocation():
+    settle()
+    settle(weights=[[6, 2], [1, 3]], scales=[2, 1])  # agent 0's values over 2
+
+
+@pytest.mark.parametrize(
+    "shares, message",
+    [
+        ([[2, -1], [0, 2]], r"x\[0\]\[1\] = -1/2 outside"),  # negative
+        ([[3, 0], [0, 2]], r"x\[0\]\[0\] = 3/2 outside"),  # above D
+        ([[2, 0], [1, 2]], r"item 0 has column sum 3/2"),  # D + 1
+        ([[1, 0], [0, 2]], r"item 0 has column sum 1/2"),  # D - 1
+    ],
+)
+def test_settle_rejects_shares(shares, message):
+    with pytest.raises(InternalVerificationFailed, match=message):
+        settle(shares=shares)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (dict(lam=7), r"agent 0 settled at utility 3, not 7/2"),
+        (dict(lam=5), r"agent 0 settled at utility 3, not 5/2"),
+        # agent 0 at 2 * 3 + 1 * 1 = 7 = lam, agent 1 at 1 * 8, one unit above
+        (
+            dict(weights=[[3, 1], [1, 8]], shares=[[2, 1], [0, 1]], lam=7),
+            r"agent 1 settled at utility 4, not 7/2",
+        ),
+    ],
+)
+def test_settle_rejects_an_agent_one_unit_off_lambda(changes, message):
+    with pytest.raises(InternalVerificationFailed, match=message):
+        settle(**changes)
+
+
+@pytest.mark.parametrize(
+    "solver, values",
+    [(maxmin_two_agents, [[2, 1, 3], [1, 2, 1]]), (maxmin_two_items, [[2, 1], [1, 2], [3, 1]])],
+)
+def test_fast_paths_reach_the_settle_check(solver, values, monkeypatch):
+    calls = []
+    real = maxmin._settle
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(maxmin, "_settle", recorded)
+    result = solver(validate_instance(values))
+    [(weights, scales, shares, lam, D)] = calls
+    assert Rational(lam, D) == result.lam
+    assert [[Rational(s, D) for s in row] for row in shares] == [list(r) for r in result.allocation.x]
 
 
 # ------------------------------------------------------------ two agents
@@ -223,12 +290,12 @@ def test_characterization_rejects_dominated_equal_utilities():
 
 @pytest.mark.parametrize("generator", (gen_instance, gen_structured_instance))
 def test_program_is_already_normalized(generator):
-    # maxmin._program skips make_problem; it must build what make_problem
+    # maxmin_program skips make_problem; it must build what make_problem
     # would return from the same data, with every entry a Rational.
     for n in range(1, 9):
         for m in range(1, 9):
             inst = generator(GenConfig(seed=n * 8 + m, agents=n, items=m))
-            p = maxmin._program(inst)
+            p = maxmin_program(inst)
             assert p == make_problem(p.objective, p.rows, p.lower, p.upper)
             # The agent rows of the ">= 0" program, negated; the same item rows.
             geq = maxmin_geq_program(inst)

@@ -13,9 +13,9 @@ from dataclasses import replace
 
 import pytest
 
-from ceub import scaling
+from ceub import graphs, scaling
 from ceub.errors import InfeasibleLP, InternalVerificationFailed, NotParetoOptimal
-from ceub.generators import GenConfig, gen_instance, gen_pareto_allocation
+from ceub.generators import GenConfig, gen_instance, gen_pareto_allocation, gen_structured_instance
 from ceub.graphs import build_graph, find_cycle
 from ceub.market import (
     bundle_cost,
@@ -385,3 +385,33 @@ def test_pipeline_details_expose_consistent_intermediates():
         full = verify_equilibrium(inst, eq.allocation, eq.prices, eq.budgets)
         assert full.supported and full.items_fully_allocated and full.budgets_exhausted
         assert details.report == verify_equilibrium(inst, y, eq.prices, eq.budgets)
+
+
+def test_each_graph_is_built_once_per_call(monkeypatch):
+    # make_cycle_free builds G(y) and the graph after each elimination;
+    # price_forest reuses the last one, G(x'), instead of building it again.
+    built = []
+    eliminated = []
+    real_graph, real_eliminate = graphs.AllocationGraph, graphs.eliminate_cycle
+
+    def counted_graph(*args):
+        built.append(args)
+        return real_graph(*args)
+
+    def counted_eliminate(*args):
+        eliminated.append(args)
+        return real_eliminate(*args)
+
+    monkeypatch.setattr(graphs, "AllocationGraph", counted_graph)
+    monkeypatch.setattr(graphs, "eliminate_cycle", counted_eliminate)
+    cycles = 0
+    for seed in range(12):
+        cfg = GenConfig(seed=seed, agents=2 + seed % 4, items=2 + seed % 5)
+        inst = gen_structured_instance(cfg)
+        y = gen_pareto_allocation(inst, seed, "b")
+        built.clear()
+        eliminated.clear()
+        support_with_details(inst, y)
+        assert len(built) == 1 + len(eliminated)
+        cycles += len(eliminated)
+    assert cycles > 0
