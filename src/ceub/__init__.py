@@ -87,14 +87,7 @@ from .maxmin import (
     maxmin_two_agents,
     maxmin_two_items,
 )
-from .pricing import (
-    ForestDecomposition,
-    TreePricing,
-    decompose_forest,
-    price_forest,
-    price_tree,
-    tree_budgets,
-)
+from .pricing import ForestDecomposition, TreePricing, price_forest
 from .rationals import BACKEND, format_rational, parse_rational, rat
 from .scaling import (
     Equilibrium,

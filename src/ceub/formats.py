@@ -65,10 +65,6 @@ class MaxminDoc:
     budgets: tuple | None
 
 
-def _fmt(value) -> str:
-    return format_rational(value)
-
-
 class _Literals(dict):
     """One document's literal text -> Rational, filled on first sight.
 
@@ -168,7 +164,7 @@ def dump_instance(inst: Instance) -> str:
             "schema": INSTANCE_SCHEMA,
             "agents": inst.agent_count,
             "items": inst.item_count,
-            "values": [[_fmt(v) for v in row] for row in inst.values],
+            "values": [[format_rational(v) for v in row] for row in inst.values],
         }
     )
 
@@ -189,7 +185,7 @@ def dump_allocation(alloc: Allocation) -> str:
             "schema": ALLOCATION_SCHEMA,
             "agents": alloc.agent_count,
             "items": alloc.item_count,
-            "shares": [[_fmt(z) for z in row] for row in alloc.x],
+            "shares": [[format_rational(z) for z in row] for row in alloc.x],
         }
     )
 
@@ -210,21 +206,21 @@ def dump_equilibrium(doc: EquilibriumDoc) -> str:
             "schema": EQUILIBRIUM_SCHEMA,
             "agents": len(doc.budgets),
             "items": len(doc.prices),
-            "prices": [_fmt(p) for p in doc.prices],
-            "budgets": [_fmt(b) for b in doc.budgets],
-            "alpha": [_fmt(a) for a in doc.alpha],
+            "prices": [format_rational(p) for p in doc.prices],
+            "budgets": [format_rational(b) for b in doc.budgets],
+            "alpha": [format_rational(a) for a in doc.alpha],
             "trees": {
                 "of_agent": list(doc.tree_of_agent),
                 "of_item": list(doc.tree_of_item),
             },
-            "cycle_free_allocation": [[_fmt(z) for z in row] for row in doc.cycle_free],
+            "cycle_free_allocation": [[format_rational(z) for z in row] for row in doc.cycle_free],
             "verification": {
                 "agents": [
                     {
                         "agent": r.agent,
-                        "spend": _fmt(r.spend),
-                        "achieved_utility": _fmt(r.achieved_utility),
-                        "optimal_utility": _fmt(r.optimal_utility),
+                        "spend": format_rational(r.spend),
+                        "achieved_utility": format_rational(r.achieved_utility),
+                        "optimal_utility": format_rational(r.optimal_utility),
                         "in_demand_set": r.in_demand_set,
                     }
                     for r in doc.reports
@@ -303,10 +299,10 @@ def dump_maxmin(doc: MaxminDoc) -> str:
             "schema": MAXMIN_SCHEMA,
             "agents": len(doc.shares),
             "items": len(doc.shares[0]),
-            "lam": _fmt(doc.lam),
-            "shares": [[_fmt(z) for z in row] for row in doc.shares],
-            "prices": None if doc.prices is None else [_fmt(p) for p in doc.prices],
-            "budgets": None if doc.budgets is None else [_fmt(b) for b in doc.budgets],
+            "lam": format_rational(doc.lam),
+            "shares": [[format_rational(z) for z in row] for row in doc.shares],
+            "prices": None if doc.prices is None else [format_rational(p) for p in doc.prices],
+            "budgets": None if doc.budgets is None else [format_rational(b) for b in doc.budgets],
         }
     )
 

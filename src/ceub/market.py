@@ -182,9 +182,7 @@ def _check_dims(inst: Instance, alloc: Allocation) -> None:
 def utility(inst: Instance, alloc: Allocation, i: int) -> Rational:
     """Additive utility of agent i's bundle: sum_j x[i][j] * v[i][j]."""
     _check_dims(inst, alloc)
-    row = alloc.x[i]
-    vals = inst.values[i]
-    return sum((row[j] * vals[j] for j in range(inst.item_count) if row[j] != 0), ZERO)
+    return bundle_utility(inst, alloc.x[i], i)
 
 
 def bundle_utility(inst: Instance, bundle, i: int) -> Rational:

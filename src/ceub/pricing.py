@@ -20,9 +20,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InternalVerificationFailed, NotAForest, OrphanItem
-from .graphs import AllocationGraph, build_graph
-from .market import Allocation, Instance, _check_dims, bundle_cost, utility
-from .rationals import Rational
+from .graphs import build_graph
+from .market import Allocation, Instance, _check_dims, bundle_cost, bundle_utility
+from .rationals import ONE
 
 log = logging.getLogger(__name__)
 
@@ -56,30 +56,41 @@ class TreePricing:
     utilities: tuple
 
 
-def decompose_forest(g: AllocationGraph) -> ForestDecomposition:
-    """Group agents and items into trees, rejecting cyclic graphs.
+def price_forest(inst: Instance, alloc: Allocation) -> tuple:
+    """Trees, prices, budgets, and utilities for a cycle-free allocation.
 
-    Every item must be held by at least one agent (OrphanItem
-    otherwise), so each tree contains an agent; agents open trees in
-    ascending order, so trees come out numbered by their lowest agent.
+    Returns (ForestDecomposition, TreePricing) from one breadth-first
+    walk per tree. Agents open trees in ascending order, so trees are
+    numbered by their lowest agent, the root, at rate 1. The first agent
+    i to reach item j prices it at rate[i] * v_ij; an agent first reached
+    through j gets rate p_j / v_ij. Raises OrphanItem for an item nobody
+    holds and NotAForest for a tree with as many edges as vertices.
+    Budgets are exactly what each bundle costs, so budget exhaustion
+    holds by construction; demand holds only after cross-tree scaling.
     """
-    n, m = g.agent_count, g.item_count
+    _check_dims(inst, alloc)
+    g = build_graph(inst, alloc)
+    n, m = inst.agent_count, inst.item_count
     for j in range(m):
         if not g.item_agents[j]:
             raise OrphanItem(j)
 
+    v = inst.values
     tree_of_agent = [-1] * n
     tree_of_item = [-1] * m
+    rate = [None] * n
+    prices = [None] * m
     tree_agents = []
     tree_items = []
-    for i in range(n):
-        if tree_of_agent[i] != -1:
+    for root in range(n):
+        if tree_of_agent[root] != -1:
             continue
         tree = len(tree_agents)
         agents, items = [], []
         edges_seen = 0
-        queue = deque([i])
-        tree_of_agent[i] = tree
+        queue = deque([root])
+        tree_of_agent[root] = tree
+        rate[root] = ONE
         while queue:
             a = queue.popleft()
             agents.append(a)
@@ -88,87 +99,32 @@ def decompose_forest(g: AllocationGraph) -> ForestDecomposition:
                 if tree_of_item[j] == -1:
                     tree_of_item[j] = tree
                     items.append(j)
+                    prices[j] = p = rate[a] * v[a][j]
                     for other in g.item_agents[j]:
                         if tree_of_agent[other] == -1:
                             tree_of_agent[other] = tree
+                            rate[other] = p / v[other][j]
                             queue.append(other)
         # A connected graph on k vertices with k or more edges has a cycle.
         if edges_seen >= len(agents) + len(items):
             raise NotAForest(
-                f"component of agent {i} has {edges_seen} edges on "
+                f"component of agent {root} has {edges_seen} edges on "
                 f"{len(agents) + len(items)} vertices"
             )
         tree_agents.append(tuple(sorted(agents)))
         tree_items.append(tuple(sorted(items)))
+    if None in prices:
+        raise InternalVerificationFailed(f"item {prices.index(None)} was left unpriced")
 
-    return ForestDecomposition(
+    decomp = ForestDecomposition(
         tree_count=len(tree_agents),
         tree_of_agent=tuple(tree_of_agent),
         tree_of_item=tuple(tree_of_item),
         tree_agents=tuple(tree_agents),
         tree_items=tuple(tree_items),
-        roots=tuple(agents[0] for agents in tree_agents),
+        roots=tuple(t[0] for t in tree_agents),
     )
-
-
-def price_tree(inst: Instance, g: AllocationGraph, decomp: ForestDecomposition, tree: int) -> dict:
-    """Item prices within one tree, anchored at its root agent.
-
-    The root's adjacent items are priced at the root's valuation;
-    breadth-first propagation across shared items then forces every
-    other price by indifference: an agent holding j at price p_j prices
-    any other item k it holds at p_k = v_ik * p_j / v_ik-anchor, i.e.
-    all of an agent's held items cost the same per unit of value.
-    """
-    v = inst.values
-    root = decomp.roots[tree]
-    prices: dict = {}
-    # rate[i] = p_j / v_ij, identical for every item j agent i holds.
-    rate: dict = {root: Rational(1)}
-    queue = deque([root])
-    seen_agents = {root}
-    while queue:
-        i = queue.popleft()
-        for j in g.agent_items[i]:
-            if j not in prices:
-                prices[j] = rate[i] * v[i][j]
-            for other in g.item_agents[j]:
-                if other not in seen_agents:
-                    seen_agents.add(other)
-                    rate[other] = prices[j] / v[other][j]
-                    queue.append(other)
-    return prices
-
-
-def tree_budgets(alloc: Allocation, prices) -> tuple:
-    """Per-agent budgets: exactly what each agent's bundle costs.
-
-    With anchored tree prices this makes budget exhaustion hold by
-    construction. An agent holding nothing gets budget zero.
-    """
-    return tuple(bundle_cost(row, prices) for row in alloc.x)
-
-
-def price_forest(inst: Instance, alloc: Allocation) -> tuple:
-    """Prices, budgets, and utilities for a cycle-free allocation.
-
-    Returns (ForestDecomposition, TreePricing). Budgets are exactly
-    what each agent's bundle costs, so budget exhaustion holds by
-    construction; whether the bundle is also demanded at these prices is
-    a separate check that only becomes true after cross-tree scaling.
-    """
-    _check_dims(inst, alloc)
-    g = build_graph(inst, alloc)
-    decomp = decompose_forest(g)
-    prices = [None] * inst.item_count
-    for tree in range(decomp.tree_count):
-        if decomp.is_degenerate(tree):
-            continue
-        for j, p in price_tree(inst, g, decomp, tree).items():
-            prices[j] = p
-    if None in prices:
-        raise InternalVerificationFailed(f"item {prices.index(None)} was left unpriced")
-    budgets = tree_budgets(alloc, prices)
-    utilities = tuple(utility(inst, alloc, i) for i in range(inst.agent_count))
+    budgets = tuple(bundle_cost(row, prices) for row in alloc.x)
+    utilities = tuple(bundle_utility(inst, row, i) for i, row in enumerate(alloc.x))
     log.debug("priced %d trees, roots %s", decomp.tree_count, decomp.roots)
     return decomp, TreePricing(tuple(prices), budgets, utilities)

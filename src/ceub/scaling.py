@@ -43,7 +43,7 @@ class GainState:
 
     Alpha vectors are indexed by decomposition tree id. Degenerate
     trees (an agent holding nothing) have no prices to scale; their
-    entry is fixed at zero by convention and the simplex constraint
+    entry is fixed at zero by convention, and the normalisation
     sum(alpha) = 1 ranges over the funded trees.
     """
 

@@ -33,10 +33,15 @@ The gain oracle (gain_ij, build_gain_table, fixed_point_map) is the
 second route to the tree multipliers that ceub.scaling once kept beside
 the closed form: the per-pair GAIN quantity and the fixed-point map F.
 At a correct alpha every gain is zero and F(alpha) = alpha exactly.
+two_walk_price_forest is price_forest as it stood before its two walks
+became one: decompose_forest finds each tree with a breadth-first walk,
+price_tree walks it again from the same root to price it, tree_budgets
+reads off each bundle's cost, and utility runs once per agent.
 No test_ prefix, so pytest does not collect this module.
 """
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import lcm
@@ -47,7 +52,9 @@ from ceub.errors import (
     InfeasibleLP,
     InternalVerificationFailed,
     MalformedProblem,
+    NotAForest,
     NotParetoOptimal,
+    OrphanItem,
     ZeroPrice,
 )
 from ceub.generators import DEFAULT_GRID, SplitMix64
@@ -65,10 +72,11 @@ from ceub.simplex import (
     make_problem,
     solve_lp,
 )
-from ceub.graphs import make_cycle_free
+from ceub.graphs import AllocationGraph, build_graph, make_cycle_free
 from ceub.market import (
     Allocation,
     Instance,
+    _check_dims,
     bundle_cost,
     is_in_demand_set,
     make_allocation,
@@ -77,6 +85,7 @@ from ceub.market import (
     verify_pareto_optimal,
 )
 from ceub.maxmin import MaxMinResult
+from ceub.pricing import ForestDecomposition, TreePricing
 from ceub.scaling import (
     Equilibrium,
     GainState,
@@ -953,3 +962,114 @@ def fraction_max_affordable_utility(inst: Instance, prices, budget, i: int):
 def json_reference(doc) -> str:
     """A document as json.dumps writes it, with the trailing newline."""
     return json.dumps(doc, indent=2) + "\n"
+
+
+def decompose_forest(g: AllocationGraph) -> ForestDecomposition:
+    """Group agents and items into trees, rejecting cyclic graphs.
+
+    Every item must be held by at least one agent (OrphanItem
+    otherwise), so each tree contains an agent; agents open trees in
+    ascending order, so trees come out numbered by their lowest agent.
+    """
+    n, m = g.agent_count, g.item_count
+    for j in range(m):
+        if not g.item_agents[j]:
+            raise OrphanItem(j)
+
+    tree_of_agent = [-1] * n
+    tree_of_item = [-1] * m
+    tree_agents = []
+    tree_items = []
+    for i in range(n):
+        if tree_of_agent[i] != -1:
+            continue
+        tree = len(tree_agents)
+        agents, items = [], []
+        edges_seen = 0
+        queue = deque([i])
+        tree_of_agent[i] = tree
+        while queue:
+            a = queue.popleft()
+            agents.append(a)
+            for j in g.agent_items[a]:
+                edges_seen += 1
+                if tree_of_item[j] == -1:
+                    tree_of_item[j] = tree
+                    items.append(j)
+                    for other in g.item_agents[j]:
+                        if tree_of_agent[other] == -1:
+                            tree_of_agent[other] = tree
+                            queue.append(other)
+        # A connected graph on k vertices with k or more edges has a cycle.
+        if edges_seen >= len(agents) + len(items):
+            raise NotAForest(
+                f"component of agent {i} has {edges_seen} edges on "
+                f"{len(agents) + len(items)} vertices"
+            )
+        tree_agents.append(tuple(sorted(agents)))
+        tree_items.append(tuple(sorted(items)))
+
+    return ForestDecomposition(
+        tree_count=len(tree_agents),
+        tree_of_agent=tuple(tree_of_agent),
+        tree_of_item=tuple(tree_of_item),
+        tree_agents=tuple(tree_agents),
+        tree_items=tuple(tree_items),
+        roots=tuple(agents[0] for agents in tree_agents),
+    )
+
+
+def price_tree(inst: Instance, g: AllocationGraph, decomp: ForestDecomposition, tree: int) -> dict:
+    """Item prices within one tree, anchored at its root agent.
+
+    The root's adjacent items are priced at the root's valuation;
+    breadth-first propagation across shared items then forces every
+    other price by indifference: an agent holding j at price p_j prices
+    any other item k it holds at p_k = v_ik * p_j / v_ik-anchor, i.e.
+    all of an agent's held items cost the same per unit of value.
+    """
+    v = inst.values
+    root = decomp.roots[tree]
+    prices: dict = {}
+    # rate[i] = p_j / v_ij, identical for every item j agent i holds.
+    rate: dict = {root: Rational(1)}
+    queue = deque([root])
+    seen_agents = {root}
+    while queue:
+        i = queue.popleft()
+        for j in g.agent_items[i]:
+            if j not in prices:
+                prices[j] = rate[i] * v[i][j]
+            for other in g.item_agents[j]:
+                if other not in seen_agents:
+                    seen_agents.add(other)
+                    rate[other] = prices[j] / v[other][j]
+                    queue.append(other)
+    return prices
+
+
+def tree_budgets(alloc: Allocation, prices) -> tuple:
+    """Per-agent budgets: exactly what each agent's bundle costs.
+
+    With anchored tree prices this makes budget exhaustion hold by
+    construction. An agent holding nothing gets budget zero.
+    """
+    return tuple(bundle_cost(row, prices) for row in alloc.x)
+
+
+def two_walk_price_forest(inst: Instance, alloc: Allocation) -> tuple:
+    """price_forest as it stood before its two walks became one."""
+    _check_dims(inst, alloc)
+    g = build_graph(inst, alloc)
+    decomp = decompose_forest(g)
+    prices = [None] * inst.item_count
+    for tree in range(decomp.tree_count):
+        if decomp.is_degenerate(tree):
+            continue
+        for j, p in price_tree(inst, g, decomp, tree).items():
+            prices[j] = p
+    if None in prices:
+        raise InternalVerificationFailed(f"item {prices.index(None)} was left unpriced")
+    budgets = tree_budgets(alloc, prices)
+    utilities = tuple(utility(inst, alloc, i) for i in range(inst.agent_count))
+    return decomp, TreePricing(tuple(prices), budgets, utilities)

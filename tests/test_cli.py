@@ -93,21 +93,31 @@ def test_maxmin_toy(tmp_path, capsys):
     assert doc.prices is None
 
 
+def fast_and_lp(tmp_path, inst):
+    """The documents `ceub maxmin --fast` and `ceub maxmin` write for inst."""
+    instance = tmp_path / "i.json"
+    instance.write_text(dump_instance(inst), encoding="utf-8")
+    docs = []
+    for out, flags in ((tmp_path / "fast.json", ["--fast"]), (tmp_path / "slow.json", [])):
+        assert main(["maxmin", str(instance), "-o", str(out), *flags]) == 0
+        docs.append(load_maxmin(out.read_text(encoding="utf-8")))
+    return docs
+
+
 def test_maxmin_fast_matches_lp_on_two_agents(tmp_path):
     inst = validate_instance(
         [[1, 2, 3, rat(1, 2), 5], [2, 2, 1, 4, rat(7, 2)]]
     )
-    instance = tmp_path / "i.json"
-    instance.write_text(dump_instance(inst), encoding="utf-8")
-    fast_out = tmp_path / "fast.json"
-    slow_out = tmp_path / "slow.json"
-    assert main(["maxmin", str(instance), "-o", str(fast_out), "--fast"]) == 0
-    assert main(["maxmin", str(instance), "-o", str(slow_out)]) == 0
-    fast = load_maxmin(fast_out.read_text(encoding="utf-8"))
-    slow = load_maxmin(slow_out.read_text(encoding="utf-8"))
+    fast, slow = fast_and_lp(tmp_path, inst)
     assert fast.lam == slow.lam
     assert fast.prices is not None and fast.budgets is not None
     assert slow.prices is None
+
+
+def test_maxmin_fast_matches_lp_on_two_items(tmp_path):
+    fast, slow = fast_and_lp(tmp_path, validate_instance([[1, 3], [2, 1], [rat(5, 2), 4]]))
+    assert fast.lam == slow.lam
+    assert fast.prices is not None and fast.budgets is not None
 
 
 def test_maxmin_fast_requires_a_small_side(tmp_path, capsys):
@@ -115,7 +125,7 @@ def test_maxmin_fast_requires_a_small_side(tmp_path, capsys):
     instance = tmp_path / "i.json"
     instance.write_text(dump_instance(inst), encoding="utf-8")
     assert main(["maxmin", str(instance), "-o", str(tmp_path / "o.json"), "--fast"]) == 1
-    assert "fast path requires n=2 or m=2" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: fast path requires n=2 or m=2\n"
 
 
 # ----------------------------------------------------------------- verify
@@ -152,6 +162,27 @@ def test_verify_names_agent_with_edited_budget(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "agent 0" in out
     assert "verification failed" in out
+
+
+def test_verify_names_agent_below_its_budget(tmp_path, capsys):
+    # One agent holds both items at prices 1 and 2. With its budget raised
+    # from 3 to 4 the bundle is still its best buy, so only the spend fails.
+    inst = validate_instance([[1, 2]])
+    instance = tmp_path / "i.json"
+    allocation = tmp_path / "a.json"
+    instance.write_text(dump_instance(inst), encoding="utf-8")
+    allocation.write_text(dump_allocation(make_allocation([[1, 1]])), encoding="utf-8")
+    eq_path = tmp_path / "eq.json"
+    assert main(["price", str(instance), str(allocation), "-o", str(eq_path)]) == 0
+    doc = json.loads(eq_path.read_text(encoding="utf-8"))
+    assert doc["budgets"] == ["3"]
+    doc["budgets"] = ["4"]
+    eq_path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(instance), str(allocation), str(eq_path)]) == 3
+    out = capsys.readouterr().out
+    assert "-> ok" in out
+    assert out.splitlines()[-1] == "verification failed: agent 0 does not spend its exact budget"
 
 
 def test_verify_flags_non_pareto_allocation(tmp_path, capsys):

@@ -221,6 +221,50 @@ def test_equilibrium_validates_tree_ids_and_agent_order():
     assert load_equilibrium(json.dumps(doc)) == toy_equilibrium_doc()
 
 
+def _set(*keys, value):
+    """An edit of an equilibrium document: the field at keys becomes value."""
+
+    def edit(doc):
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (_set("trees", "of_agent", value="0"), "trees.of_agent"),
+        (_set("alpha", value=[]), "alpha"),
+        (_set("trees", value=[[0, 0], [0]]), "trees"),
+        (_set("verification", value=[]), "verification"),
+        (
+            _set("verification", "agents", 0, "in_demand_set", value="true"),
+            "verification.agents[0].in_demand_set",
+        ),
+        (_set("verification", "budgets_exhausted", value=1), "verification.budgets_exhausted"),
+        (_set("cycle_free_allocation", value=[["99/100"]]), "cycle_free_allocation"),
+    ],
+    ids=[
+        "tree map not a list",
+        "empty alpha",
+        "trees not an object",
+        "verification not an object",
+        "in_demand_set not a boolean",
+        "market flag not a boolean",
+        "matrix missing a row",
+    ],
+)
+def test_equilibrium_rejects_malformed_fields(edit, path):
+    doc = json.loads(dump_equilibrium(toy_equilibrium_doc()))
+    edit(doc)
+    with pytest.raises(SchemaError) as info:
+        load_equilibrium(json.dumps(doc))
+    assert info.value.path == path
+
+
 def test_maxmin_doc_requires_prices_and_budgets_together():
     inst, _ = toy()
     fast = maxmin_two_agents(inst)

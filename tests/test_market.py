@@ -75,6 +75,8 @@ def test_make_allocation_constraints():
         make_allocation([[rat(2, 3), 0], [rat(1, 2), 0]])
     with pytest.raises(EmptyMatrix):
         make_allocation([])
+    with pytest.raises(DimensionMismatch, match="row 1 has 1 entries, expected 2"):
+        make_allocation([[1, 0], [0]])
 
 
 def test_utility_example():
@@ -128,6 +130,8 @@ def test_short_price_vector_is_a_dimension_mismatch():
     alloc = make_allocation([[0, 1], [1, 0]])
     with pytest.raises(DimensionMismatch):
         is_in_demand_set(inst, (2,), 3, 0, (0, 1))
+    with pytest.raises(DimensionMismatch, match="bundle has 1 entries for 2 items"):
+        is_in_demand_set(inst, (2, 1), 3, 0, (1,))
     with pytest.raises(DimensionMismatch):
         verify_equilibrium(inst, alloc, (2,), (2, 2))
 

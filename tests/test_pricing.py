@@ -2,7 +2,8 @@
 
 Fixed examples are hand-priced; the invariant block runs on generated
 Pareto-optimal forests because only those must satisfy the within-tree
-demand conditions.
+demand conditions. The differential block holds price_forest's one walk
+per tree to the two-walk route it replaced, kept in oracles.
 """
 
 import dataclasses
@@ -10,12 +11,15 @@ import random
 
 import pytest
 
-from ceub.errors import NotAForest, OrphanItem
-from ceub.generators import GenConfig, gen_instance, gen_pareto_allocation
+from ceub.errors import CeubError, NotAForest, OrphanItem
+from ceub.generators import GenConfig, gen_instance, gen_pareto_allocation, gen_structured_instance
 from ceub.graphs import build_graph, make_cycle_free
 from ceub.market import bundle_cost, make_allocation, utility, validate_instance
-from ceub.pricing import decompose_forest, price_forest, price_tree, tree_budgets
+from ceub.pricing import ForestDecomposition, price_forest
 from ceub.rationals import ZERO, rat
+
+from oracles import price_tree, two_walk_price_forest
+from test_acceptance import corpus
 
 HALF = rat(1, 2)
 
@@ -78,24 +82,15 @@ def test_decompose_rejects_cycles():
     inst = validate_instance([[1, 1], [1, 1]])
     alloc = make_allocation([[HALF, HALF], [HALF, HALF]])
     with pytest.raises(NotAForest):
-        decompose_forest(build_graph(inst, alloc))
+        price_forest(inst, alloc)
 
 
 def test_decompose_rejects_orphan_items():
     inst = validate_instance([[1]])
     alloc = make_allocation([[0]])
     with pytest.raises(OrphanItem) as info:
-        decompose_forest(build_graph(inst, alloc))
+        price_forest(inst, alloc)
     assert info.value.item == 0
-
-
-def test_tree_budgets_matches_bundle_cost():
-    inst = validate_instance([[2, 1], [3, 6]])
-    alloc = make_allocation([[HALF, 0], [HALF, 1]])
-    _, pricing = price_forest(inst, alloc)
-    assert tree_budgets(alloc, pricing.prices) == tuple(
-        bundle_cost(row, pricing.prices) for row in alloc.x
-    )
 
 
 def _generated_forest(seed):
@@ -132,19 +127,21 @@ def test_pricing_invariants_on_generated_forests():
             supply = sum((pricing.prices[j] for j in decomp.tree_items[tree]), ZERO)
             assert spent == supply
 
-        assert pricing.budgets == tree_budgets(alloc, pricing.prices)
+        assert pricing.budgets == tuple(bundle_cost(row, pricing.prices) for row in alloc.x)
         assert pricing.utilities == tuple(utility(inst, alloc, i) for i in range(n))
 
 
 def test_root_choice_only_rescales():
+    # The reference's price_tree, re-rooted at any agent of a tree, gives
+    # price_forest's prices for that tree times one positive factor.
     for seed in (3, 11, 19):
         inst, alloc = _generated_forest(seed)
         g = build_graph(inst, alloc)
-        decomp, _ = price_forest(inst, alloc)
+        decomp, pricing = price_forest(inst, alloc)
         for tree in range(decomp.tree_count):
             if decomp.is_degenerate(tree):
                 continue
-            base = price_tree(inst, g, decomp, tree)
+            base = {j: pricing.prices[j] for j in decomp.tree_items[tree]}
             for other_root in decomp.tree_agents[tree]:
                 roots = list(decomp.roots)
                 roots[tree] = other_root
@@ -154,3 +151,72 @@ def test_root_choice_only_rescales():
                 factors = {rebased[j] / base[j] for j in base}
                 assert len(factors) == 1
                 assert factors.pop() > 0
+
+
+# ------------------------------------------------------------ differential
+
+
+def outcome(route, inst, alloc):
+    """What a pricing route returns, or the type and message it raises."""
+    try:
+        return route(inst, alloc)
+    except CeubError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_as_two_walks(inst, alloc):
+    ours = outcome(price_forest, inst, alloc)
+    assert ours == outcome(two_walk_price_forest, inst, alloc)
+    return ours
+
+
+def test_one_walk_matches_two_walks_on_the_acceptance_corpus():
+    # Before cycle removal many mode-"b" allocations are cyclic, so the
+    # raw pairs compare the NotAForest messages, edge counts included.
+    cyclic = 0
+    for inst, alloc in corpus():
+        cyclic += assert_same_as_two_walks(inst, alloc)[0] is NotAForest
+        decomp, _ = assert_same_as_two_walks(inst, make_cycle_free(inst, alloc))
+        assert isinstance(decomp, ForestDecomposition)
+    assert cyclic > 0
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("m", range(2, 7))
+def test_one_walk_matches_two_walks_on_mode_b_markets(n, m):
+    for seed in range(4):
+        inst = gen_structured_instance(GenConfig(seed=seed, agents=n, items=m))
+        alloc = make_cycle_free(inst, gen_pareto_allocation(inst, seed, mode="b"))
+        decomp, _ = assert_same_as_two_walks(inst, alloc)
+        assert isinstance(decomp, ForestDecomposition)
+
+
+@pytest.mark.parametrize(
+    "values, shares, error",
+    [
+        ([[1, 1], [1, 1]], [[1, 1], [0, 0]], None),  # agent 1 holds nothing
+        ([[1, 2], [3, 4], [5, 6]], [[0, 0], [1, 1], [0, 0]], None),  # two empty hands
+        ([[1, 1]], [[1, 0]], OrphanItem),
+        ([[1, 2, 3], [4, 5, 6]], [[1, 0, 0], [0, 0, 1]], OrphanItem),
+        ([[1, 1], [1, 1]], [[HALF, HALF], [HALF, HALF]], NotAForest),
+        (
+            [[1, 2, 3]] * 4,
+            [[HALF, 0, 0], [HALF, 0, 0], [0, HALF, HALF], [0, HALF, HALF]],
+            NotAForest,
+        ),
+    ],
+    ids=[
+        "degenerate agent",
+        "degenerate agents",
+        "orphan item",
+        "middle orphan",
+        "2x2 cycle",
+        "cycle in the second tree",
+    ],
+)
+def test_one_walk_matches_two_walks_on_hand_cases(values, shares, error):
+    got = assert_same_as_two_walks(validate_instance(values), make_allocation(shares))
+    if error is None:
+        assert isinstance(got[0], ForestDecomposition)
+    else:
+        assert got[0] is error
