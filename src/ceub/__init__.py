@@ -12,8 +12,9 @@ solvers and generators used to exercise the construction.
 The pipeline: remove sharing-graph cycles without touching utilities
 (graphs), price each resulting tree from an anchor agent (pricing),
 scale the trees by an exact multiplicative Bellman-Ford (scaling), and
-check the input once with the demand oracle (market), which certifies
-Pareto optimality; the exchange-graph verifier only explains failures.
+check the input once with the integer demand certificate (market), which
+certifies Pareto optimality; the greedy knapsack and the exchange-graph
+verifier only explain failures.
 Entry point: support_pipeline.
 """
 

@@ -1,12 +1,14 @@
-"""Bipartite allocation graph and utility-preserving cycle elimination.
+"""Cycle finding and utility-preserving cycle elimination.
 
 G(x) has an (undirected) edge between agent i and item j exactly when
-x[i][j] > 0. Any Pareto-optimal fully-allocated x can be transformed
-into one whose graph is a forest without changing a single agent's
-utility: every graph cycle supports a closed chain of share transfers
-that keeps each intermediate agent exactly whole, and Pareto optimality
-forces the chain to close neutrally for the first agent too, so pushing
-it until some edge hits zero removes an edge for free.
+x[i][j] > 0; market.build_graph builds it once per allocation and is
+re-exported here with AllocationGraph. Any Pareto-optimal
+fully-allocated x can be transformed into one whose graph is a forest
+without changing a single agent's utility: every graph cycle supports
+a closed chain of share transfers that keeps each intermediate agent
+exactly whole, and Pareto optimality forces the chain to close
+neutrally for the first agent too, so pushing it until some edge hits
+zero removes an edge for free.
 """
 
 from __future__ import annotations
@@ -15,27 +17,10 @@ import logging
 from dataclasses import dataclass
 
 from .errors import InternalVerificationFailed, NotParetoOptimal
-from .market import Allocation, Instance, _check_dims
+from .market import Allocation, AllocationGraph, Instance, _check_dims, build_graph
 from .rationals import ONE, Rational
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class AllocationGraph:
-    agent_count: int
-    item_count: int
-    agent_items: tuple  # per agent: ascending item indices with x > 0
-    item_agents: tuple  # per item: ascending agent indices with x > 0
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(items) for items in self.agent_items)
-
-    def edges(self):
-        for i, items in enumerate(self.agent_items):
-            for j in items:
-                yield (i, j)
 
 
 @dataclass(frozen=True)
@@ -65,28 +50,6 @@ class CycleShift:
 
     epsilons: tuple
     zeroed_edge: tuple
-
-
-def build_graph(inst: Instance, alloc: Allocation) -> AllocationGraph:
-    """The bipartite sharing graph of an allocation.
-
-    An Allocation is immutable, so its graph is built once and kept on
-    the object: make_cycle_free builds the graph of its result to find
-    no cycle there, and price_forest, given that result, reuses it.
-    """
-    _check_dims(inst, alloc)
-    g = vars(alloc).get("_graph")
-    if g is None:
-        n, m = inst.agent_count, inst.item_count
-        agent_items = tuple(
-            tuple(j for j in range(m) if alloc.x[i][j] != 0) for i in range(n)
-        )
-        item_agents = tuple(
-            tuple(i for i in range(n) if alloc.x[i][j] != 0) for j in range(m)
-        )
-        g = AllocationGraph(n, m, agent_items, item_agents)
-        object.__setattr__(alloc, "_graph", g)  # a frozen dataclass, outside its fields
-    return g
 
 
 def find_cycle(g: AllocationGraph) -> SimpleCycle | None:

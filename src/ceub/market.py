@@ -1,4 +1,4 @@
-"""Problem data model, greedy demand oracle, and independent verifiers.
+"""Problem data model, demand certificate, and independent verifiers.
 
 The model: n agents with additive, strictly positive valuations over m
 divisible items. An allocation assigns each agent a fraction of each
@@ -7,6 +7,13 @@ are anonymous per-item token amounts and budgets are per-agent token
 amounts; tokens have no intrinsic value, so an agent's demand at prices
 p and budget b is whatever affordable fractional bundle maximizes her
 utility.
+
+A bundle's demand is decided on ints by the fractional-knapsack
+threshold: an affordable bundle is demanded exactly when it spends
+less than the budget on every item whole, or spends the whole budget
+on items whose value per price is at least that of every item it does
+not fully hold. The greedy knapsack (max_affordable_utility) runs only
+to report the optimum a failing bundle misses.
 
 Price and budget vectors are plain tuples of Rational throughout the
 package.
@@ -61,6 +68,27 @@ class Allocation:
 
     def column_sum(self, j: int) -> Rational:
         return sum((row[j] for row in self.x if row[j] != 0), ZERO)
+
+
+@dataclass(frozen=True)
+class AllocationGraph:
+    """The bipartite sharing graph G(x): agent i and item j are joined
+    exactly when x[i][j] > 0, so its adjacency lists are the supports of
+    the allocation's rows and columns."""
+
+    agent_count: int
+    item_count: int
+    agent_items: tuple  # per agent: ascending item indices with x > 0
+    item_agents: tuple  # per item: ascending agent indices with x > 0
+
+    @property
+    def edge_count(self) -> int:
+        return sum(len(items) for items in self.agent_items)
+
+    def edges(self):
+        for i, items in enumerate(self.agent_items):
+            for j in items:
+                yield (i, j)
 
 
 @dataclass(frozen=True)
@@ -179,6 +207,39 @@ def _check_dims(inst: Instance, alloc: Allocation) -> None:
         )
 
 
+def _sharing_graph(alloc: Allocation, keep: bool = False) -> AllocationGraph:
+    """G(alloc), from one scan of the share numerators.
+
+    An Allocation is immutable, so a graph built with keep is kept on
+    the object, outside the dataclass fields, and every later call reuses
+    it: make_cycle_free builds the graph of its input and of its result,
+    and price_forest and verify_equilibrium, given either, reuse it. The
+    verifiers keep no graph of their own, so an allocation that is only
+    checked carries none.
+    """
+    g = vars(alloc).get("_graph")
+    if g is None:
+        agent_items = []
+        item_agents = [[] for _ in range(alloc.item_count)]
+        for i, row in enumerate(alloc.x):
+            held = tuple(j for j, z in enumerate(row) if z.numerator)
+            agent_items.append(held)
+            for j in held:
+                item_agents[j].append(i)
+        g = AllocationGraph(
+            alloc.agent_count, alloc.item_count, tuple(agent_items), tuple(map(tuple, item_agents))
+        )
+        if keep:
+            object.__setattr__(alloc, "_graph", g)
+    return g
+
+
+def build_graph(inst: Instance, alloc: Allocation) -> AllocationGraph:
+    """The bipartite sharing graph of an allocation of inst's items."""
+    _check_dims(inst, alloc)
+    return _sharing_graph(alloc, keep=True)
+
+
 def utility(inst: Instance, alloc: Allocation, i: int) -> Rational:
     """Additive utility of agent i's bundle: sum_j x[i][j] * v[i][j]."""
     _check_dims(inst, alloc)
@@ -192,6 +253,30 @@ def bundle_utility(inst: Instance, bundle, i: int) -> Rational:
 
 def bundle_cost(bundle, prices) -> Rational:
     return sum((z * prices[j] for j, z in enumerate(bundle) if z != 0), ZERO)
+
+
+def _dot(row, coeffs, support) -> Rational:
+    """sum(row[j] * coeffs[j] for j in support), exactly: on ints over
+    the lcm of the terms' denominators, with one Rational at the end."""
+    num, den = 0, 1
+    for j in support:
+        a, b = row[j], coeffs[j]
+        d = a.denominator * b.denominator
+        common = lcm(den, d)
+        num = num * (common // den) + a.numerator * b.numerator * (common // d)
+        den = common
+    return Rational(num, den)
+
+
+def _check_prices(prices) -> None:
+    for j, p in enumerate(prices):
+        if p.numerator <= 0:
+            raise ZeroPrice(j)
+
+
+def _check_budget(budget: Rational) -> None:
+    if budget.numerator < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
 
 
 def max_affordable_utility(inst: Instance, prices, budget: Rational, i: int) -> Rational:
@@ -208,24 +293,21 @@ def max_affordable_utility(inst: Instance, prices, budget: Rational, i: int) -> 
     ratio does. The walk counts prices and budget in units of 1/P, P the
     lcm of their denominators, and values in units of 1/V, V the lcm of
     the value denominators, so each purchase is an int add, subtract and
-    compare. Signs are checked on numerators. The components are read
-    through int(), so prices may be ints or either backend's rationals.
+    compare. Signs are checked on numerators. Prices may be ints or
+    Rationals.
     """
     m = inst.item_count
     if len(prices) != m:
         raise DimensionMismatch(f"{len(prices)} prices for {m} items")
-    pn = [int(p.numerator) for p in prices]
-    pd = [int(p.denominator) for p in prices]
-    for j, num in enumerate(pn):
-        if num <= 0:
-            raise ZeroPrice(j)
+    _check_prices(prices)
     budget = rat(budget)
-    bn, bd = int(budget.numerator), int(budget.denominator)
-    if bn < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
+    _check_budget(budget)
+    pn = [p.numerator for p in prices]
+    pd = [p.denominator for p in prices]
+    bn, bd = budget.numerator, budget.denominator
     vals = inst.values[i]
-    vn = [int(v.numerator) for v in vals]
-    vd = [int(v.denominator) for v in vals]
+    vn = [v.numerator for v in vals]
+    vd = [v.denominator for v in vals]
 
     dens = [d * n for d, n in zip(vd, pn)]
     common = lcm(*dens)
@@ -248,39 +330,119 @@ def max_affordable_utility(inst: Instance, prices, budget: Rational, i: int) -> 
     return Rational(total, value_unit)
 
 
+def _over_common_denominator(numbers) -> tuple:
+    """(ints, unit) with numbers[k] == ints[k] / unit, unit the lcm of
+    the denominators."""
+    unit = lcm(*(q.denominator for q in numbers))
+    return [q.numerator * (unit // q.denominator) for q in numbers], unit
+
+
+def _demand_report(inst: Instance, prices, units, budget, i: int, bundle, support) -> DemandReport:
+    """Agent i's DemandReport for bundle, whose nonzero shares are at
+    the indices in support, at checked prices (units holds them over
+    their common denominator) and a checked budget.
+
+    Spend and achieved utility are summed on ints over the support. A
+    bundle inside the box [0, 1]^m is then judged by the knapsack's
+    optimality certificate, on ints: it is demanded exactly when it
+    costs at most the budget and either costs less with every item held
+    whole, or costs the whole budget and the lowest v/p among its items
+    is at least the highest v/p among the items it does not hold whole.
+    A demanded bundle is worth the optimum, so the greedy runs only for
+    the others, to report the optimum they miss; there, the greedy's own
+    verdict must agree with the certificate's.
+    """
+    costs, unit = units  # p[j] * unit
+    weights, den = _over_common_denominator([bundle[j] for j in support])  # x[i][j] * den
+    row = inst.values[i]
+    worth, vunit = _over_common_denominator(row)  # v[i][j] * vunit
+    spent = sum(w * costs[j] for w, j in zip(weights, support))
+    spend = Rational(spent, den * unit)
+    achieved = Rational(sum(w * worth[j] for w, j in zip(weights, support)), den * vunit)
+    over = spent * budget.denominator - budget.numerator * den * unit  # sign of spend - budget
+
+    in_box = all(0 < w <= den for w in weights)
+    demanded = False
+    if in_box and over < 0:
+        demanded = len(support) == len(row) and all(w == den for w in weights)
+    elif in_box and over == 0:
+        whole = [False] * len(row)
+        low = None  # the held item of least v/p
+        for w, j in zip(weights, support):
+            whole[j] = w == den
+            if low is None or worth[j] * costs[low] < worth[low] * costs[j]:
+                low = j
+        # With nothing held, the budget is zero and nothing else is affordable.
+        demanded = low is None or all(
+            whole[j] or worth[j] * costs[low] <= worth[low] * costs[j] for j in range(len(row))
+        )
+    if demanded:
+        return DemandReport(i, achieved, achieved, spend, True)
+
+    optimal = max_affordable_utility(inst, prices, budget, i)
+    greedy_verdict = spend <= budget and achieved == optimal
+    if in_box and greedy_verdict:
+        raise InternalVerificationFailed(
+            f"the greedy demands agent {i}'s bundle at utility {optimal}, the certificate does not"
+        )
+    return DemandReport(i, achieved, optimal, spend, greedy_verdict)
+
+
 def is_in_demand_set(inst: Instance, prices, budget: Rational, i: int, bundle) -> DemandReport:
-    """Check one bundle against agent i's demand set at (prices, budget)."""
+    """Check one bundle against agent i's demand set at (prices, budget).
+
+    Any bundle may be checked; one outside the box [0, 1]^m is judged by
+    the greedy alone: demanded when it is affordable and worth the
+    greedy's optimum.
+    """
     if len(bundle) != inst.item_count:
         raise DimensionMismatch(f"bundle has {len(bundle)} entries for {inst.item_count} items")
     if len(prices) != inst.item_count:
         raise DimensionMismatch(f"{len(prices)} prices for {inst.item_count} items")
     bundle = tuple(rat(z) for z in bundle)
     budget = rat(budget)
-    spend = bundle_cost(bundle, prices)
-    achieved = bundle_utility(inst, bundle, i)
-    optimal = max_affordable_utility(inst, prices, budget, i)
-    return DemandReport(
-        agent=i,
-        achieved_utility=achieved,
-        optimal_utility=optimal,
-        spend=spend,
-        in_demand_set=(spend <= budget and achieved == optimal),
-    )
+    _check_prices(prices)
+    _check_budget(budget)
+    support = tuple(j for j, z in enumerate(bundle) if z.numerator)
+    units = _over_common_denominator(prices)
+    return _demand_report(inst, prices, units, budget, i, bundle, support)
+
+
+def _sums_to_one(shares) -> bool:
+    """Whether the Rationals in shares add up to exactly 1, on ints."""
+    ints, unit = _over_common_denominator(shares)
+    return sum(ints) == unit
 
 
 def verify_equilibrium(inst: Instance, alloc: Allocation, prices, budgets) -> EquilibriumReport:
     """Demand-oracle verification of a price/budget pair against an
     allocation: every agent's bundle must be affordable and optimal;
-    market flags record full allocation and exact budget exhaustion."""
+    market flags record full allocation and exact budget exhaustion.
+
+    The prices go to ints once, and each bundle is judged on the
+    support of its row (see _demand_report). Errors come in this order:
+    DimensionMismatch, ZeroPrice for the first price not positive, then
+    ValueError for the first negative budget.
+    """
     _check_dims(inst, alloc)
-    if len(budgets) != inst.agent_count:
-        raise DimensionMismatch(f"{len(budgets)} budgets for {inst.agent_count} agents")
+    n, m = inst.agent_count, inst.item_count
+    if len(budgets) != n:
+        raise DimensionMismatch(f"{len(budgets)} budgets for {n} agents")
+    if len(prices) != m:
+        raise DimensionMismatch(f"{len(prices)} prices for {m} items")
+    budgets = tuple(rat(b) for b in budgets)
+    _check_prices(prices)
+    for b in budgets:
+        _check_budget(b)
+    units = _over_common_denominator(prices)
+    g = _sharing_graph(alloc)
+    x = alloc.x
     reports = tuple(
-        is_in_demand_set(inst, prices, budgets[i], i, alloc.x[i])
-        for i in range(inst.agent_count)
+        _demand_report(inst, prices, units, budgets[i], i, x[i], g.agent_items[i])
+        for i in range(n)
     )
-    fully = all(alloc.column_sum(j) == 1 for j in range(inst.item_count))
-    exhausted = all(reports[i].spend == rat(budgets[i]) for i in range(inst.agent_count))
+    fully = all(_sums_to_one([x[i][j] for i in holders]) for j, holders in enumerate(g.item_agents))
+    exhausted = all(r.spend == b for r, b in zip(reports, budgets))
     return EquilibriumReport(reports, fully, exhausted)
 
 
@@ -338,8 +500,9 @@ def verify_pareto_optimal(inst: Instance, alloc: Allocation) -> ParetoVerdict:
     """Pass, or produce an improving-cycle certificate / an unallocated item."""
     _check_dims(inst, alloc)
     n, m = inst.agent_count, inst.item_count
+    holders = _sharing_graph(alloc).item_agents
     for j in range(m):
-        if alloc.column_sum(j) < 1:
+        if sum((alloc.x[i][j] for i in holders[j]), ZERO) < 1:
             return ParetoVerdict(ok=False, unallocated_item=j)
 
     edges = []
@@ -348,9 +511,8 @@ def verify_pareto_optimal(inst: Instance, alloc: Allocation) -> ParetoVerdict:
         for j in range(m):
             edges.append((i, n + j, vals[j]))
     for j in range(m):
-        for i in range(n):
-            if alloc.x[i][j] != 0:
-                edges.append((n + j, i, ONE / inst.values[i][j]))
+        for i in holders[j]:
+            edges.append((n + j, i, ONE / inst.values[i][j]))
 
     _, cycle = max_product_paths(n + m, edges)
     if cycle is None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import InternalVerificationFailed, NotAForest, OrphanItem
 from .graphs import build_graph
-from .market import Allocation, Instance, _check_dims, bundle_cost, bundle_utility
+from .market import Allocation, Instance, _check_dims, _dot
 from .rationals import ONE
 
 log = logging.getLogger(__name__)
@@ -124,7 +124,9 @@ def price_forest(inst: Instance, alloc: Allocation) -> tuple:
         tree_items=tuple(tree_items),
         roots=tuple(t[0] for t in tree_agents),
     )
-    budgets = tuple(bundle_cost(row, prices) for row in alloc.x)
-    utilities = tuple(bundle_utility(inst, row, i) for i, row in enumerate(alloc.x))
+    # Every item j that agent i holds costs rate[i] * v_ij, so i's bundle
+    # costs rate[i] times its utility.
+    utilities = tuple(_dot(row, v[i], g.agent_items[i]) for i, row in enumerate(alloc.x))
+    budgets = tuple(r * u for r, u in zip(rate, utilities))
     log.debug("priced %d trees, roots %s", decomp.tree_count, decomp.roots)
     return decomp, TreePricing(tuple(prices), budgets, utilities)

@@ -1,29 +1,16 @@
-"""Exact rational arithmetic backend.
+"""Exact rational arithmetic.
 
 Everything in this package computes over exact rationals; floats are
-rejected at every boundary. Two interchangeable backends provide the
-number type:
-
-* ``gmpy2.mpq`` -- GMP-backed, used whenever gmpy2 imports.
-* ``fractions.Fraction`` -- stdlib fallback with identical semantics.
-
-Both types print the same canonical ``num/den`` strings, hash and
-compare identically, and mix freely with ints, so the rest of the
-package never needs to know which one is active. The choice is made
-once, at import, and BACKEND names it. The simplex pivots on Python
-ints whichever backend is active.
+rejected at every boundary. The number type is ``fractions.Fraction``,
+and BACKEND names it. The hot loops (the simplex, the greedy, the
+demand certificate, the settle check) run on Python ints read from the
+numerators and denominators, and build Rationals only for results.
 """
 
 import re
+from fractions import Fraction as Rational
 
-try:
-    from gmpy2 import mpq as Rational
-
-    BACKEND = "gmpy2"
-except ImportError:
-    from fractions import Fraction as Rational
-
-    BACKEND = "fractions"
+BACKEND = "fractions"
 
 ZERO = Rational(0)
 ONE = Rational(1)
@@ -62,8 +49,9 @@ def format_rational(value) -> str:
 
 
 def rat(value, den=None):
-    """Coerce to the active Rational type. Ints, literal strings, and
-    rationals from either backend are accepted; floats never are."""
+    """Coerce to Rational. Ints, literal strings, and rationals of any
+    type with int numerator and denominator are accepted; floats never
+    are."""
     if type(value) is Rational and den is None:
         return value
     if den is not None:
@@ -84,7 +72,8 @@ def rat(value, den=None):
         return value
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass a string, int, or rational")
-    # Rational-like from the other backend: both expose numerator/denominator.
+    # Another exact rational type (gmpy2.mpq, say): it exposes
+    # numerator and denominator.
     num = getattr(value, "numerator", None)
     denom = getattr(value, "denominator", None)
     if num is not None and denom is not None:

@@ -8,8 +8,11 @@ to finding one factor per tree killing all cross-tree envy.
 
 The factors have a closed form: the least solution of the difference
 constraints between trees, by multiplicative Bellman-Ford
-(solve_multiplier_lp). The demand oracle then checks the scaled prices
-once, on the input allocation.
+(solve_multiplier_lp). Each constraint needs an agent's best value per
+price in a foreign tree, which is found by comparing ints; one Rational
+is made per agent and tree. The demand certificate then checks the
+scaled prices once, on the input allocation, and the cycle-free
+transform is checked against that report.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from .market import (
     Allocation,
     EquilibriumReport,
     Instance,
-    bundle_cost,
-    bundle_utility,
+    _dot,
+    _over_common_denominator,
+    build_graph,
     max_product_paths,
     verify_equilibrium,
     verify_pareto_optimal,
@@ -98,6 +102,52 @@ def _check_alpha(state: GainState, alpha) -> None:
             raise ValueError(f"tree {t} has no items; its multiplier must be 0")
 
 
+def _ratio_table(state: GainState) -> dict:
+    """(tree of i, tree of j) -> the tightest v_ij * b_i / (p_j * u_i).
+
+    For each funded agent i and each tree t other than its own, only
+    i's best bang-per-buck v_ij / p_j in t matters. It is found on ints,
+    with the values over their common denominator and the prices over
+    theirs, by cross-multiplying; then one Rational is made per (agent,
+    tree). Agents come in ascending order and, for each, the trees in
+    the order of their lowest item, so each key is inserted when the
+    agent-by-agent, item-by-item scan would first reach it.
+    """
+    decomp, pricing = state.decomp, state.pricing
+    trees = sorted(
+        (t for t in range(decomp.tree_count) if not decomp.is_degenerate(t)),
+        key=lambda t: decomp.tree_items[t][0],
+    )
+    ratios: dict = {}
+    if len(trees) < 2:
+        return ratios  # no agent sees a foreign tree
+    prices, budgets, utils = pricing.prices, pricing.budgets, pricing.utilities
+    costs, unit = _over_common_denominator(prices)  # p_j * unit
+    for i, row in enumerate(state.inst.values):
+        b, u = budgets[i], utils[i]
+        if b.numerator == 0:
+            continue
+        s = decomp.tree_of_agent[i]
+        worth, vunit = _over_common_denominator(row)  # v_ij * vunit
+        for t in trees:
+            if t == s:
+                continue
+            items = decomp.tree_items[t]
+            best = items[0]
+            for j in items:
+                if worth[j] * costs[best] > worth[best] * costs[j]:
+                    best = j
+            # (worth/vunit) / (cost/unit) * b / u
+            r = Rational(
+                worth[best] * unit * b.numerator * u.denominator,
+                vunit * costs[best] * b.denominator * u.numerator,
+            )
+            key = (s, t)
+            if key not in ratios or r > ratios[key]:
+                ratios[key] = r
+    return ratios
+
+
 def solve_multiplier_lp(state: GainState):
     """Scaling factors maximizing the smallest multiplier lambda.
 
@@ -122,21 +172,7 @@ def solve_multiplier_lp(state: GainState):
         # allocations fully allocated, so some tree owns an item.
         raise InternalVerificationFailed("no funded trees to scale")
 
-    prices, budgets, utils = state.pricing.prices, state.pricing.budgets, state.pricing.utilities
-    values = state.inst.values
-    ratios: dict = {}  # (tree of i, tree of j) -> tightest v_ij*b_i / (p_j*u_i)
-    for i in range(state.inst.agent_count):
-        if budgets[i] == 0:
-            continue
-        s = decomp.tree_of_agent[i]
-        for j in range(state.inst.item_count):
-            t = decomp.tree_of_item[j]
-            if t == s:
-                continue
-            r = values[i][j] * budgets[i] / (prices[j] * utils[i])
-            key = (s, t)
-            if key not in ratios or r > ratios[key]:
-                ratios[key] = r
+    ratios = _ratio_table(state)
 
     # Degenerate trees own no items and fund no agent, so they touch no
     # ratio pair and stay out of the sum.
@@ -217,9 +253,11 @@ def support_with_details(inst: Instance, y: Allocation) -> PipelineDetails:
         _raise_if_not_pareto_optimal(inst, y)
         raise InternalVerificationFailed("the prices do not support the original allocation")
     if x is not y:
+        supports = build_graph(inst, x).agent_items
         for i, row in enumerate(x.x):
-            affordable = bundle_cost(row, eq.prices) <= eq.budgets[i]
-            if not affordable or bundle_utility(inst, row, i) != report.reports[i].optimal_utility:
+            affordable = _dot(row, eq.prices, supports[i]) <= eq.budgets[i]
+            # price_forest summed the utility of x' on the same support.
+            if not affordable or state.pricing.utilities[i] != report.reports[i].optimal_utility:
                 raise InternalVerificationFailed(
                     "scaled prices fail the demand oracle on the cycle-free allocation"
                 )

@@ -27,6 +27,14 @@ fraction_max_affordable_utility is the greedy demand oracle as it stood
 before its bang-per-buck order moved to integers and its walk to whole
 units: the items sorted on Rational ratios, and every purchase a share
 min(1, remaining / price) of its item.
+greedy_is_in_demand_set and greedy_verify_equilibrium are the demand
+oracle as it stood before the knapsack certificate: each bundle's cost
+and utility summed on Rationals over every entry, the greedy's optimum
+computed for every agent, and each column summed on Rationals; the
+greedy is an argument, so either greedy can be put behind them.
+fraction_ratio_table and fraction_solve_multiplier_lp are the
+multipliers as they stood before their bang-per-buck comparisons moved
+to ints: one Rational ratio per cross-tree agent-item pair.
 json_reference is the document writer as it stood before formats got
 its own emitter: json.dumps with two-space indentation.
 The gain oracle (gain_ij, build_gain_table, fixed_point_map) is the
@@ -75,11 +83,16 @@ from ceub.simplex import (
 from ceub.graphs import AllocationGraph, build_graph, make_cycle_free
 from ceub.market import (
     Allocation,
+    DemandReport,
+    EquilibriumReport,
     Instance,
     _check_dims,
     bundle_cost,
+    bundle_utility,
     is_in_demand_set,
     make_allocation,
+    max_affordable_utility,
+    max_product_paths,
     utility,
     verify_equilibrium,
     verify_pareto_optimal,
@@ -957,6 +970,91 @@ def fraction_max_affordable_utility(inst: Instance, prices, budget, i: int):
         total += share * vals[j]
         remaining -= share * prices[j]
     return total
+
+
+def greedy_is_in_demand_set(
+    inst: Instance, prices, budget, i: int, bundle, optimum=max_affordable_utility
+) -> DemandReport:
+    """Check one bundle against agent i's demand set at (prices, budget)."""
+    if len(bundle) != inst.item_count:
+        raise DimensionMismatch(f"bundle has {len(bundle)} entries for {inst.item_count} items")
+    if len(prices) != inst.item_count:
+        raise DimensionMismatch(f"{len(prices)} prices for {inst.item_count} items")
+    bundle = tuple(rat(z) for z in bundle)
+    budget = rat(budget)
+    spend = bundle_cost(bundle, prices)
+    achieved = bundle_utility(inst, bundle, i)
+    optimal = optimum(inst, prices, budget, i)
+    return DemandReport(
+        agent=i,
+        achieved_utility=achieved,
+        optimal_utility=optimal,
+        spend=spend,
+        in_demand_set=(spend <= budget and achieved == optimal),
+    )
+
+
+def greedy_verify_equilibrium(
+    inst: Instance, alloc: Allocation, prices, budgets, optimum=max_affordable_utility
+) -> EquilibriumReport:
+    """Demand-oracle verification of a price/budget pair against an
+    allocation: every agent's bundle must be affordable and optimal;
+    market flags record full allocation and exact budget exhaustion."""
+    _check_dims(inst, alloc)
+    if len(budgets) != inst.agent_count:
+        raise DimensionMismatch(f"{len(budgets)} budgets for {inst.agent_count} agents")
+    reports = tuple(
+        greedy_is_in_demand_set(inst, prices, budgets[i], i, alloc.x[i], optimum)
+        for i in range(inst.agent_count)
+    )
+    fully = all(
+        sum((row[j] for row in alloc.x if row[j] != 0), ZERO) == 1
+        for j in range(inst.item_count)
+    )
+    exhausted = all(reports[i].spend == rat(budgets[i]) for i in range(inst.agent_count))
+    return EquilibriumReport(reports, fully, exhausted)
+
+
+def fraction_ratio_table(state: GainState) -> dict:
+    """(tree of i, tree of j) -> tightest v_ij*b_i / (p_j*u_i), on Rationals."""
+    decomp = state.decomp
+    prices, budgets, utils = state.pricing.prices, state.pricing.budgets, state.pricing.utilities
+    values = state.inst.values
+    ratios: dict = {}
+    for i in range(state.inst.agent_count):
+        if budgets[i] == 0:
+            continue
+        s = decomp.tree_of_agent[i]
+        for j in range(state.inst.item_count):
+            t = decomp.tree_of_item[j]
+            if t == s:
+                continue
+            r = values[i][j] * budgets[i] / (prices[j] * utils[i])
+            key = (s, t)
+            if key not in ratios or r > ratios[key]:
+                ratios[key] = r
+    return ratios
+
+
+def fraction_solve_multiplier_lp(state: GainState):
+    """solve_multiplier_lp with the ratio table of fraction_ratio_table."""
+    decomp = state.decomp
+    funded = [t for t in range(decomp.tree_count) if not decomp.is_degenerate(t)]
+    if not funded:
+        raise InternalVerificationFailed("no funded trees to scale")
+    ratios = fraction_ratio_table(state)
+    d, cycle = max_product_paths(decomp.tree_count, [(s, t, r) for (s, t), r in ratios.items()])
+    if cycle is not None:
+        raise InfeasibleLP(
+            f"ratio pairs around trees {cycle} multiply to more than 1, so no "
+            "positive per-tree scaling removes cross-tree envy; "
+            "the allocation is not Pareto optimal"
+        )
+    total = sum((d[t] for t in funded), ZERO)
+    alpha = [ZERO] * decomp.tree_count
+    for t in funded:
+        alpha[t] = d[t] / total
+    return tuple(alpha), ONE / total
 
 
 def json_reference(doc) -> str:

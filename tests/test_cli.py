@@ -384,8 +384,8 @@ def test_installed_entry_point_smoke(tmp_path):
 
 
 def test_backend_is_not_read_from_the_environment(tmp_path):
-    # The backend is gmpy2 when it imports and fractions otherwise; no
-    # environment variable can make the import of ceub fail.
+    # The backend is always fractions; no environment variable can make
+    # the import of ceub fail.
     instance, allocation = write_toy(tmp_path)
     out = tmp_path / "eq.json"
     done = run_entry_point(

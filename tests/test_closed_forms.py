@@ -5,7 +5,10 @@ welfare vertex (generators.gen_pareto_allocation) are computed in closed
 form; tests/oracles.py keeps the LPs as differential oracles. Markets are
 drawn with one agent or one item, tied values from the grid {1, 2}, and
 extreme ratios 10^-6 against 10^6, and both routes must give identical
-exact answers, or both raise InfeasibleLP.
+exact answers, or both raise InfeasibleLP. On the same draws, the
+multipliers' integer ratio table must equal the Rational one it replaced
+(oracles.fraction_ratio_table), in keys, values and insertion order, and
+both must give the same multipliers or the same InfeasibleLP message.
 """
 
 import pytest
@@ -25,9 +28,14 @@ from ceub.generators import (
 from ceub.graphs import make_cycle_free
 from ceub.market import make_allocation, validate_instance
 from ceub.rationals import rat
-from ceub.scaling import build_gain_state, solve_multiplier_lp
+from ceub.scaling import _ratio_table, build_gain_state, solve_multiplier_lp
 
-from oracles import multiplier_lp, welfare_lp_allocation
+from oracles import (
+    fraction_ratio_table,
+    fraction_solve_multiplier_lp,
+    multiplier_lp,
+    welfare_lp_allocation,
+)
 
 TIES = (rat(1), rat(2))
 EXTREME = (rat(1, 10**6), rat(1), rat(10**6))
@@ -90,6 +98,24 @@ def test_multipliers_match_the_lp_on_shared_items(seed, n, m):
     state = build_gain_state(inst, make_cycle_free(inst, y))
     closed, lp = both_routes(state)
     assert closed == lp
+
+
+@PROPERTY
+@given(integral_markets())
+def test_ratio_table_matches_the_fraction_loop(market):
+    # Arbitrary owners leave many markets dominated, so InfeasibleLP's
+    # cycle, read off the order of the ratio pairs, is compared too.
+    values, owners = market
+    rows = [[rat(int(owners[j] == i)) for j in range(len(owners))] for i in range(len(values))]
+    state = build_gain_state(validate_instance(values), make_allocation(rows))
+    assert list(_ratio_table(state).items()) == list(fraction_ratio_table(state).items())
+    routes = []
+    for solve in (solve_multiplier_lp, fraction_solve_multiplier_lp):
+        try:
+            routes.append(solve(state))
+        except InfeasibleLP as exc:
+            routes.append(str(exc))
+    assert routes[0] == routes[1]
 
 
 def test_positive_cross_tree_cycle_is_infeasible_on_both_routes():

@@ -5,8 +5,14 @@ common denominator and buys whole units until the last, partial one;
 tests/oracles.py keeps the greedy that sorted on Rational ratios and
 bought a Rational share of every item as
 fraction_max_affordable_utility. Both must return the
-same utility, and is_in_demand_set must return the same report with
-either one. Markets have 1-10 agents and 1-10 items, values and prices
+same utility. is_in_demand_set decides demand by the knapsack
+certificate and runs the greedy only for bundles that fail it: its
+report must equal the one the old route (oracles.greedy_is_in_demand_set)
+builds with the Rational greedy, and with that greedy patched in, it
+must reach the greedy exactly for the bundles not demanded and return
+the same report. verify_equilibrium must equal
+oracles.greedy_verify_equilibrium on the drawn bundles as one
+allocation. Markets have 1-10 agents and 1-10 items, values and prices
 spanning 1/10**6 to 10**6, prices that are all Python ints, and prices
 proportional to one agent's values, so that agent sees tied ratios.
 Budgets are zero, above the sum of the prices, exactly the bundle's
@@ -26,10 +32,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ceub import market
-from ceub.market import bundle_cost, is_in_demand_set, max_affordable_utility, validate_instance
+from ceub.market import (
+    Allocation,
+    bundle_cost,
+    is_in_demand_set,
+    max_affordable_utility,
+    validate_instance,
+    verify_equilibrium,
+)
 from ceub.rationals import rat
 
-from oracles import fraction_max_affordable_utility
+from oracles import (
+    fraction_max_affordable_utility,
+    greedy_is_in_demand_set,
+    greedy_verify_equilibrium,
+)
 
 TINY, HUGE = rat(1, 10**6), rat(10**6)
 NUMBERS = tuple(rat(v) for v in ("1", "2", "3", "1/2", "1/3", "2/3", "3/2", "7/5")) + (TINY, HUGE)
@@ -99,9 +116,26 @@ def test_integer_order_matches_the_fraction_greedy():
             got = max_affordable_utility(inst, prices, budget, i)
             assert got == fraction_max_affordable_utility(inst, prices, budget, i)
             report = is_in_demand_set(inst, prices, budget, i, bundle)
-            with patch.object(market, "max_affordable_utility", fraction_max_affordable_utility):
+            old = greedy_is_in_demand_set(
+                inst, prices, budget, i, bundle, fraction_max_affordable_utility
+            )
+            assert repr(report) == repr(old)
+            calls.clear()
+            with patch.object(market, "max_affordable_utility", counted):
                 assert report == is_in_demand_set(inst, prices, budget, i, bundle)
+            assert len(calls) == (not report.in_demand_set)
             seen.add(report.in_demand_set)
+        # The bundles need not fit one allocation's column sums.
+        alloc = Allocation(tuple(tuple(rat(z) for z in bundle) for bundle in bundles))
+        assert repr(verify_equilibrium(inst, alloc, prices, budgets)) == repr(
+            greedy_verify_equilibrium(inst, alloc, prices, budgets)
+        )
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fraction_max_affordable_utility(*args)
 
     check()
     assert seen == {True, False}

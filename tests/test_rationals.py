@@ -9,7 +9,8 @@ from ceub.rationals import BACKEND, ONE, ZERO, Rational, format_rational, parse_
 
 
 def test_backend_is_a_known_choice():
-    assert BACKEND in ("gmpy2", "fractions")
+    assert BACKEND == "fractions"
+    assert Rational is Fraction
     assert ZERO == 0
     assert ONE == 1
 
@@ -65,9 +66,20 @@ def test_rat_coercions():
     assert rat(1, 2) * 2 == 1
     assert rat("2/3") == rat(2, 3)
     assert rat(rat(5, 7)) == rat(5, 7)
-    assert rat(Fraction(2, 6)) == rat(1, 3)  # the other backend's type
+    assert rat(Fraction(2, 6)) == rat(1, 3)
     half = rat(1, 2)
-    assert rat(half) is half  # already the active type: returned as is
+    assert rat(half) is half  # already a Rational: returned as is
+
+
+def test_rat_reads_other_rational_types():
+    # Any exact rational exposing numerator and denominator, such as
+    # gmpy2.mpq, converts to a Rational in lowest terms.
+    class Ratio:
+        numerator, denominator = 4, 6
+
+    value = rat(Ratio())
+    assert type(value) is Rational
+    assert (value.numerator, value.denominator) == (2, 3)
 
 
 def test_rat_rejects_inexact_and_nonsense():

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from ceub import graphs, scaling
+from ceub import graphs, market, scaling
 from ceub.errors import InfeasibleLP, InternalVerificationFailed, NotParetoOptimal
 from ceub.generators import GenConfig, gen_instance, gen_pareto_allocation, gen_structured_instance
 from ceub.graphs import build_graph, find_cycle
@@ -334,7 +334,7 @@ def test_forest_input_is_not_checked_twice(monkeypatch):
     def recheck(*args):
         raise AssertionError("the cycle-free allocation was checked again")
 
-    monkeypatch.setattr(scaling, "bundle_cost", recheck)
+    monkeypatch.setattr(scaling, "_dot", recheck)
     inst = validate_instance([[2, 1], [1, 2]])
     y = make_allocation([[1, 0], [0, 1]])
     details = support_with_details(inst, y)
@@ -392,7 +392,7 @@ def test_each_graph_is_built_once_per_call(monkeypatch):
     # price_forest reuses the last one, G(x'), instead of building it again.
     built = []
     eliminated = []
-    real_graph, real_eliminate = graphs.AllocationGraph, graphs.eliminate_cycle
+    real_graph, real_eliminate = market.AllocationGraph, graphs.eliminate_cycle
 
     def counted_graph(*args):
         built.append(args)
@@ -402,7 +402,7 @@ def test_each_graph_is_built_once_per_call(monkeypatch):
         eliminated.append(args)
         return real_eliminate(*args)
 
-    monkeypatch.setattr(graphs, "AllocationGraph", counted_graph)
+    monkeypatch.setattr(market, "AllocationGraph", counted_graph)
     monkeypatch.setattr(graphs, "eliminate_cycle", counted_eliminate)
     cycles = 0
     for seed in range(12):
