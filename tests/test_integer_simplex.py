@@ -1,32 +1,31 @@
-"""The integer simplex against the Rational one it replaced, and the
+"""The package's simplex against the two reference simplexes, and the
 "<=" max-min program against the ">=" one.
 
-simplex.solve_lp is a revised simplex on ints (D·B⁻¹ and the duals);
-tests/oracles.py keeps the Rational tableau as fraction_solve_lp. Both
-follow Bland's rule, so they must make the same pivots, (leaving,
-entering) variable for variable, and agree exactly on status, x and
-objective value. Problems are drawn with EQUAL rows, repeated
-(redundant) rows, negative right-hand sides, lower and upper bounds,
-and degenerate ties from {0, +-1, +-1/2}; the explicit examples pin an
-infeasible, an unbounded and a redundant case, a phase 1 over rows of
-different scales and a negative pivot while expelling an artificial.
-The max-min programs of both generators, up to 8 agents by 8 items, are
-compared the same way. maxmin_lp writes its agent rows as "<= 0", which
-needs no phase 1; it must return the same lambda and shares as the
-">= 0" program.
-
-solve_lp packs each column of [E | rhs] into one int; tests/oracles.py
-keeps the kernel with one int list per row as row_solve_lp. The two
-must return equal LpSolutions, pivot counts and bits included, on the
-drawn problems, on every max-min program up to 8 by 8, and on problems
-whose fields are wider than 64 and than 128 bits.
+ceub.simplex._solve is a revised simplex on packed ints (D·B⁻¹ and the
+duals) for "<=" rows with a nonnegative rhs; oracles.core_solve_lp puts
+an LpProblem of that form through it. tests/oracles.py keeps the
+Rational tableau as fraction_solve_lp, and the two-phase simplex with
+one int list per row of D·B⁻¹ as row_solve_lp. All three follow Bland's
+rule, so they must make the same pivots, (leaving, entering) variable
+for variable. core_solve_lp must take fraction_solve_lp's pivot path
+and return row_solve_lp's LpSolution exactly, pivot counts and bits
+included: on drawn "<=" problems (degenerate ties from {0, +-1, +-1/2},
+unbounded ones, repeated rows), on every max-min program up to 8 agents
+by 8 items, and on max-min programs whose fields are wider than 64 and
+than 128 bits. The general draws (EQUAL rows, repeated rows at negative
+scales, negative right-hand sides, lower and upper bounds) and three
+wide problems that need phase 1, an expulsion on a negative pivot or the
+deletion of redundant rows compare row_solve_lp with fraction_solve_lp
+the same way. maxmin_lp writes its agent rows as "<= 0", which needs no
+phase 1; it must return the same lambda and shares as the ">= 0"
+program.
 
 maxmin_lp builds its int columns from the instance and hands them to
-the simplex's integer core, without an LpProblem; tests/oracles.py keeps
-the route it replaced as lp_maxmin (solve_lp on maxmin_program, then a
-settle check on Rationals). The two must make the same pivots and
-return the same result and info line on every shape up to 8 by 8 and on
-values whose fields are wider than 64 bits."""
+the simplex without an LpProblem; tests/oracles.py keeps the route it
+replaced as lp_maxmin (the Rational door, row_solve_lp, on
+maxmin_program, then a settle check on Rationals). The two must make the
+same pivots and return the same result and info line on every shape up
+to 8 by 8 and on values whose fields are wider than 64 bits."""
 
 import logging
 from contextlib import contextmanager
@@ -44,10 +43,21 @@ from ceub.generators import GenConfig, gen_instance, gen_structured_instance
 from ceub.maxmin import maxmin_lp
 from ceub.market import validate_instance
 from ceub.rationals import rat
-from ceub.simplex import EQUAL, GREATER, LESS, OPTIMAL, make_problem, solve_lp
 
 import oracles
-from oracles import fraction_solve_lp, lp_maxmin, maxmin_geq_program, maxmin_program, row_solve_lp
+from oracles import (
+    EQUAL,
+    GREATER,
+    LESS,
+    OPTIMAL,
+    core_solve_lp,
+    fraction_solve_lp,
+    lp_maxmin,
+    make_problem,
+    maxmin_geq_program,
+    maxmin_program,
+    row_solve_lp,
+)
 
 TIES = tuple(rat(v) for v in ("0", "1", "-1", "1/2", "-1/2"))
 WIDE = TIES + tuple(rat(v) for v in ("2", "-3", "5/3", "-7/4"))
@@ -78,6 +88,28 @@ def lp_problems(draw):
     return make_problem(draw(coeffs), rows, lower, upper)
 
 
+@st.composite
+def le_problems(draw):
+    """A problem the package's simplex takes: "<=" rows with a
+    nonnegative rhs and zero lower bounds, over one value set; sometimes
+    a row is repeated at a positive scale."""
+    values = draw(st.sampled_from((TIES, WIDE)))
+    num = st.sampled_from(values)
+    nvars = draw(st.integers(1, 4))
+    coeffs = st.tuples(*[num] * nvars)
+    rhs = st.sampled_from([v for v in values if v >= 0])
+    rows = draw(st.lists(st.tuples(coeffs, st.just(LESS), rhs), max_size=5))
+    if rows and draw(st.booleans()):
+        row, relation, b = draw(st.sampled_from(rows))
+        k = draw(st.sampled_from((rat(1), rat(2), rat(1, 2))))
+        rows.append((tuple(k * c for c in row), relation, k * b))
+    upper = tuple(
+        draw(st.one_of(st.none(), st.sampled_from((rat(0), rat(1), rat(3, 2)))))
+        for _ in range(nvars)
+    )
+    return make_problem(draw(coeffs), rows, upper=upper)
+
+
 @contextmanager
 def pivot_path(module, name, row_arg):
     """Record the (leaving, entering) variables of every call to the
@@ -92,6 +124,37 @@ def pivot_path(module, name, row_arg):
 
     with patch.object(module, name, recorded):
         yield path
+
+
+def assert_pivots_like_the_fraction_simplex(solve, module, pivot, problem):
+    """solve(problem), whose pivot function is module.pivot, makes
+    fraction_solve_lp's pivots and agrees with it on status, x and
+    objective value. Returns solve's LpSolution."""
+    with pivot_path(module, pivot, 2) as new_path:
+        new = solve(problem)
+    with pivot_path(oracles, "_fraction_pivot", 3) as old_path:
+        old = fraction_solve_lp(problem)
+    assert new_path == old_path
+    assert (new.status, new.x, new.objective_value) == (old.status, old.x, old.objective_value)
+    return new
+
+
+def assert_core_run(problem):
+    """The package's simplex takes fraction_solve_lp's pivots and returns
+    row_solve_lp's LpSolution, pivot counts and bits included."""
+    solution = assert_pivots_like_the_fraction_simplex(core_solve_lp, simplex, "_pivot", problem)
+    assert solution == row_solve_lp(problem)
+
+
+def assert_row_run(problem):
+    assert_pivots_like_the_fraction_simplex(row_solve_lp, oracles, "_row_pivot", problem)
+
+
+def in_core_form(problem):
+    """Whether problem has only "<=" rows with rhs >= 0 and zero lower
+    bounds, the form the package's simplex takes."""
+    rows = problem.rows
+    return all(rel == LESS and rhs >= 0 for _, rel, rhs in rows) and not any(problem.lower)
 
 
 @PROPERTY
@@ -116,7 +179,7 @@ def pivot_path(module, name, row_arg):
     make_problem([0, 1], [((-1, 0), EQUAL, 0), ((0, 1), LESS, 1)])
 )
 def test_integer_tableau_matches_the_fraction_simplex(problem):
-    assert_same_run(problem)
+    assert_row_run(problem)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -129,16 +192,7 @@ def test_integer_tableau_matches_the_fraction_simplex(problem):
 @example(seed=8, n=8, m=8, generator=gen_instance)
 @example(seed=8, n=8, m=8, generator=gen_structured_instance)
 def test_maxmin_programs_pivot_like_the_fraction_simplex(seed, n, m, generator):
-    assert_same_run(maxmin_program(generator(GenConfig(seed=seed, agents=n, items=m))))
-
-
-def assert_same_run(problem):
-    with pivot_path(simplex, "_pivot", 2) as new_path:
-        new = solve_lp(problem)
-    with pivot_path(oracles, "_fraction_pivot", 3) as old_path:
-        old = fraction_solve_lp(problem)
-    assert new_path == old_path
-    assert (new.status, new.x, new.objective_value) == (old.status, old.x, old.objective_value)
+    assert_core_run(maxmin_program(generator(GenConfig(seed=seed, agents=n, items=m))))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -160,24 +214,28 @@ def test_maxmin_without_phase_1_matches_the_geq_program(seed, n, m, generator):
 
 
 def test_pivot_counts_per_phase():
-    # One pivot takes x from the slack; the ">=" row first needs phase 1.
-    assert solve_lp(make_problem([1], [((1,), LESS, 3)])).pivots == (0, 1)
-    sol = solve_lp(make_problem([-1], [((1,), GREATER, 2)], upper=[5]))
+    # One pivot takes x from the slack; the ">=" row first needs phase 1,
+    # which only the two-phase reference runs.
+    assert core_solve_lp(make_problem([1], [((1,), LESS, 3)])).pivots == (0, 1)
+    sol = row_solve_lp(make_problem([-1], [((1,), GREATER, 2)], upper=[5]))
     assert sol.x == (2,) and sol.pivots == (1, 0)
 
 
 @PROPERTY
-@given(lp_problems())
-@example(make_problem([1], [((1,), GREATER, 1), ((1,), LESS, 0)]))  # infeasible
+@given(le_problems())
 @example(make_problem([1, 1], [((1, -1), LESS, 1)]))  # unbounded
 @example(
-    make_problem(  # redundant EQUAL rows, expelled after phase 1
-        [1, 0], [((1, 1), EQUAL, 2), ((1, 1), EQUAL, 2), ((-2, -2), EQUAL, -4)], upper=[2, 2]
+    make_problem(  # degenerate: three rows tie at the origin
+        [1, 1], [((1, -1), LESS, 0), ((-1, 1), LESS, 0), ((1, 1), LESS, 0)]
     )
 )
-@example(make_problem([0, 1], [((-1, 0), EQUAL, 0), ((0, 1), LESS, 1)]))  # negative pivot
+@example(
+    make_problem(  # repeated rows at scales 1 and 2
+        [1, 1], [((1, 1), LESS, 2), ((1, 1), LESS, 2), ((2, 2), LESS, 4)], upper=[2, 2]
+    )
+)
 def test_packed_columns_match_the_row_kernel(problem):
-    assert solve_lp(problem) == row_solve_lp(problem)
+    assert_core_run(problem)
 
 
 @pytest.mark.parametrize("generator", (gen_instance, gen_structured_instance))
@@ -185,7 +243,7 @@ def test_maxmin_programs_match_the_row_kernel(generator):
     for n in range(1, 9):
         for m in range(1, 9):
             problem = maxmin_program(generator(GenConfig(seed=n * 8 + m, agents=n, items=m)))
-            assert solve_lp(problem) == row_solve_lp(problem)
+            assert_core_run(problem)
 
 
 def field_widths(solve, arg):
@@ -250,12 +308,16 @@ WIDE_PROBLEMS = [
 
 @pytest.mark.parametrize("problem", WIDE_PROBLEMS)
 def test_wide_fields_match_both_oracles(problem):
-    assert solve_lp(problem) == row_solve_lp(problem)
-    assert_same_run(problem)
+    if in_core_form(problem):
+        assert_core_run(problem)
+    else:
+        assert_row_run(problem)
 
 
 def test_wide_problems_need_wide_fields():
-    widths = set().union(*(field_widths(solve_lp, problem) for problem in WIDE_PROBLEMS))
+    core = [problem for problem in WIDE_PROBLEMS if in_core_form(problem)]
+    assert len(core) == 5
+    widths = set().union(*(field_widths(core_solve_lp, problem) for problem in core))
     assert any(64 < w <= 128 for w in widths)
     assert max(widths) > 128
 
@@ -264,18 +326,19 @@ def test_wide_problems_need_wide_fields():
 
 
 def assert_same_maxmin(inst, caplog):
-    """maxmin_lp, from inst.values to the integer core, against solve_lp
-    on the reference program and the Rational settle: the same pivots,
-    field width, result and info line."""
+    """maxmin_lp, from inst.values to the package's simplex, against the
+    Rational door (row_solve_lp) on the reference program and the
+    Rational settle: the same pivots, result and info line, and the
+    field width core_solve_lp takes on the reference program."""
     n, m = inst.agent_count, inst.item_count
     caplog.clear()
     with pivot_path(simplex, "_pivot", 2) as new_path, caplog.at_level(logging.INFO, "ceub.maxmin"):
         new = maxmin_lp(inst)
-    with pivot_path(simplex, "_pivot", 2) as old_path:
+    with pivot_path(oracles, "_row_pivot", 2) as old_path:
         old, solution = lp_maxmin(inst)
     assert new_path and new_path == old_path
     assert new == old
-    assert field_widths(maxmin_lp, inst) == field_widths(solve_lp, maxmin_program(inst))
+    assert field_widths(maxmin_lp, inst) == field_widths(core_solve_lp, maxmin_program(inst))
     assert [r.getMessage() for r in caplog.records if r.name == "ceub.maxmin"] == [
         f"max-min LP {n}x{m}: {n + m} rows, {n * m + 1} columns,"
         f" pivots {solution.pivots[0]}+{solution.pivots[1]}, {solution.bits} bits,"

@@ -21,9 +21,17 @@ from ceub.market import (
     verify_pareto_optimal,
 )
 from ceub.rationals import rat
-from ceub.simplex import LESS, OPTIMAL, make_problem, solve_lp
 
-from oracles import dominates, execute_certificate, grid_allocations, utilities_of
+from oracles import (
+    LESS,
+    OPTIMAL,
+    dominates,
+    execute_certificate,
+    fraction_solve_lp,
+    grid_allocations,
+    make_problem,
+    utilities_of,
+)
 
 TOY_VALUES = [[1], [99]]
 TOY_SHARES = [[rat(99, 100)], [rat(1, 100)]]
@@ -162,7 +170,7 @@ def test_demand_oracle_matches_lp():
         budget = rat(rng.randrange(0, 13), 4)
         i = rng.randrange(n)
         rows = [(prices, LESS, budget)]
-        sol = solve_lp(make_problem(inst.values[i], rows, upper=[1] * m))
+        sol = fraction_solve_lp(make_problem(inst.values[i], rows, upper=[1] * m))
         assert sol.status == OPTIMAL
         assert max_affordable_utility(inst, prices, budget, i) == sol.objective_value
 

@@ -17,9 +17,8 @@ from ceub.maxmin import (
     maxmin_two_items,
 )
 from ceub.rationals import Rational, rat
-from ceub.simplex import LESS, make_problem
 
-from oracles import maxmin_geq_program, maxmin_program
+from oracles import LESS, make_problem, maxmin_geq_program, maxmin_program
 
 
 def probe_bound(n: int) -> int:

@@ -1,28 +1,30 @@
-"""Exact simplex: hand cases, malformed input, and the vertex-enumeration oracle."""
+"""The reference simplex the LP oracles stand on, oracles.fraction_solve_lp:
+hand cases, malformed input, and the vertex-enumeration oracle."""
 
 import random
 
 import pytest
 
-from ceub.errors import MalformedProblem
 from ceub.rationals import ZERO, rat
-from ceub.simplex import (
+
+from oracles import (
     EQUAL,
     GREATER,
     INFEASIBLE,
     LESS,
     OPTIMAL,
     UNBOUNDED,
+    MalformedProblem,
+    brute_force_lp,
+    fraction_solve_lp,
     make_problem,
-    solve_lp,
+    satisfies,
 )
-
-from oracles import brute_force_lp, satisfies
 
 
 def test_single_variable_cap():
     # max x s.t. x <= 3
-    sol = solve_lp(make_problem([1], [((1,), LESS, 3)]))
+    sol = fraction_solve_lp(make_problem([1], [((1,), LESS, 3)]))
     assert sol.status == OPTIMAL
     assert sol.x == (3,)
     assert sol.objective_value == 3
@@ -30,18 +32,18 @@ def test_single_variable_cap():
 
 def test_contradictory_rows_infeasible():
     # x >= 1 and x <= 0 cannot both hold
-    sol = solve_lp(make_problem([1], [((1,), GREATER, 1), ((1,), LESS, 0)]))
+    sol = fraction_solve_lp(make_problem([1], [((1,), GREATER, 1), ((1,), LESS, 0)]))
     assert sol.status == INFEASIBLE
     assert sol.x is None and sol.objective_value is None
 
 
 def test_unbounded():
-    sol = solve_lp(make_problem([1], []))
+    sol = fraction_solve_lp(make_problem([1], []))
     assert sol.status == UNBOUNDED
 
 
 def test_equality_row():
-    sol = solve_lp(make_problem([1, 1], [((1, 1), EQUAL, 2)], upper=[2, 2]))
+    sol = fraction_solve_lp(make_problem([1, 1], [((1, 1), EQUAL, 2)], upper=[2, 2]))
     assert sol.status == OPTIMAL
     assert sol.objective_value == 2
 
@@ -49,14 +51,14 @@ def test_equality_row():
 def test_negative_rhs_is_normalized():
     # -x <= -2 means x >= 2
     problem = make_problem([-1], [((-1,), LESS, -2)], upper=[5])
-    sol = solve_lp(problem)
+    sol = fraction_solve_lp(problem)
     assert sol.status == OPTIMAL
     assert sol.x == (2,)
     assert sol.objective_value == -2
 
 
 def test_negative_lower_bound_shift():
-    sol = solve_lp(make_problem([-1], [], lower=[-3], upper=[1]))
+    sol = fraction_solve_lp(make_problem([-1], [], lower=[-3], upper=[1]))
     assert sol.status == OPTIMAL
     assert sol.x == (-3,)
     assert sol.objective_value == 3
@@ -64,7 +66,7 @@ def test_negative_lower_bound_shift():
 
 def test_redundant_equalities_are_dropped():
     rows = [((1, 1), EQUAL, 2), ((1, 1), EQUAL, 2), ((2, 2), EQUAL, 4)]
-    sol = solve_lp(make_problem([1, 0], rows, upper=[2, 2]))
+    sol = fraction_solve_lp(make_problem([1, 0], rows, upper=[2, 2]))
     assert sol.status == OPTIMAL
     assert sol.x == (2, 0)
 
@@ -72,14 +74,14 @@ def test_redundant_equalities_are_dropped():
 def test_degenerate_vertex_terminates():
     # x = y forced by two opposing rows; the origin is a degenerate vertex.
     rows = [((1, -1), LESS, 0), ((-1, 1), LESS, 0), ((1, 1), LESS, 2)]
-    sol = solve_lp(make_problem([1, 1], rows))
+    sol = fraction_solve_lp(make_problem([1, 1], rows))
     assert sol.status == OPTIMAL
     assert sol.objective_value == 2
 
 
 def test_fractional_data_stays_exact():
     rows = [((rat(1, 3), rat(1, 7)), LESS, rat(5, 21))]
-    sol = solve_lp(make_problem([rat(2, 5), rat(1, 5)], rows, upper=[1, 1]))
+    sol = fraction_solve_lp(make_problem([rat(2, 5), rat(1, 5)], rows, upper=[1, 1]))
     assert sol.status == OPTIMAL
     lhs = rat(1, 3) * sol.x[0] + rat(1, 7) * sol.x[1]
     assert lhs <= rat(5, 21)
@@ -97,7 +99,7 @@ def test_tree_multiplier_program_diagonal_instance():
         ((1, 0, -1), GREATER, 0),
         ((0, 1, -1), GREATER, 0),
     ]
-    sol = solve_lp(make_problem([0, 0, 1], rows, upper=[1, 1, 1]))
+    sol = fraction_solve_lp(make_problem([0, 0, 1], rows, upper=[1, 1, 1]))
     assert sol.status == OPTIMAL
     assert sol.x == (rat(1, 2), rat(1, 2), rat(1, 2))
     assert sol.objective_value == rat(1, 2)
@@ -121,15 +123,15 @@ def test_malformed_problems(build):
 
 def test_solve_rejects_raw_data():
     with pytest.raises(MalformedProblem):
-        solve_lp({"objective": [1]})
+        fraction_solve_lp({"objective": [1]})
 
 
 def test_determinism():
     problem = make_problem(
         [3, -1, 2], [((1, 1, 1), LESS, 4), ((2, -1, 0), GREATER, 1)], upper=[3, 3, 3]
     )
-    first = solve_lp(problem)
-    second = solve_lp(problem)
+    first = fraction_solve_lp(problem)
+    second = fraction_solve_lp(problem)
     assert first == second
 
 
@@ -154,7 +156,7 @@ def test_agrees_with_vertex_enumeration():
     infeasible_seen = 0
     for _ in range(150):
         problem = _random_problem(rng)
-        sol = solve_lp(problem)
+        sol = fraction_solve_lp(problem)
         status, value = brute_force_lp(problem)
         assert sol.status == status
         if status == OPTIMAL:
