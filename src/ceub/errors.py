@@ -25,7 +25,7 @@ class DimensionMismatch(CeubError):
 
 
 class ZeroPrice(CeubError):
-    """Raised when a price is not strictly positive; the greedy demand
+    """Raised when a price is not strictly positive; the demand
     oracle is undefined there (a free item breaks the budget bound)."""
 
     def __init__(self, item: int):

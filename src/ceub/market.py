@@ -9,14 +9,14 @@ p and budget b is whatever affordable fractional bundle maximizes her
 utility.
 
 A bundle's demand is decided on ints by the fractional-knapsack
-threshold: an affordable bundle is demanded exactly when it spends
+threshold: a bundle in [0, 1]^m is demanded exactly when it spends
 less than the budget on every item whole, or spends the whole budget
 on items whose value per price is at least that of every item it does
-not fully hold. The greedy knapsack (max_affordable_utility) runs only
-to report the optimum a failing bundle misses.
+not fully hold. The greedy knapsack (max_affordable_utility) runs on
+Rationals, only to report the optimum a failing bundle misses.
 
-Price and budget vectors are plain tuples of Rational throughout the
-package.
+Prices and budgets may be ints, literal strings or Rationals; each
+entry point coerces them once with rat.
 """
 
 from __future__ import annotations
@@ -243,6 +243,7 @@ def build_graph(inst: Instance, alloc: Allocation) -> AllocationGraph:
 def utility(inst: Instance, alloc: Allocation, i: int) -> Rational:
     """Additive utility of agent i's bundle: sum_j x[i][j] * v[i][j]."""
     _check_dims(inst, alloc)
+    _check_agent(inst, i)
     return bundle_utility(inst, alloc.x[i], i)
 
 
@@ -268,10 +269,18 @@ def _dot(row, coeffs, support) -> Rational:
     return Rational(num, den)
 
 
-def _check_prices(prices) -> None:
+def _check_agent(inst: Instance, i: int) -> None:
+    if not 0 <= i < inst.agent_count:
+        raise DimensionMismatch(f"agent {i} out of range for {inst.agent_count} agents")
+
+
+def _check_prices(prices) -> tuple:
+    """The prices as a tuple of Rationals, each checked positive."""
+    prices = tuple(map(rat, prices))
     for j, p in enumerate(prices):
         if p.numerator <= 0:
             raise ZeroPrice(j)
+    return prices
 
 
 def _check_budget(budget: Rational) -> None:
@@ -285,49 +294,24 @@ def max_affordable_utility(inst: Instance, prices, budget: Rational, i: int) -> 
     Items are bought whole in decreasing bang-per-buck v[i][j]/p[j] (ties
     by ascending item index) until one costs more than the budget left,
     which buys part of it. For this structure the greedy optimum is exact.
-
-    The whole computation runs on ints and builds one Rational at the
-    end. With v = vn/vd and p = pn/pd, the ratio is (vn*pd)/(vd*pn), and
-    over L, the lcm of the vd*pn, every ratio becomes an integer
-    numerator vn*pd*(L // (vd*pn)) that sorts exactly as the rational
-    ratio does. The walk counts prices and budget in units of 1/P, P the
-    lcm of their denominators, and values in units of 1/V, V the lcm of
-    the value denominators, so each purchase is an int add, subtract and
-    compare. Signs are checked on numerators. Prices may be ints or
-    Rationals.
+    The demand check runs it only to report the optimum a failing bundle
+    misses, so it works on Rationals.
     """
     m = inst.item_count
     if len(prices) != m:
         raise DimensionMismatch(f"{len(prices)} prices for {m} items")
-    _check_prices(prices)
+    _check_agent(inst, i)
+    prices = _check_prices(prices)
     budget = rat(budget)
     _check_budget(budget)
-    pn = [p.numerator for p in prices]
-    pd = [p.denominator for p in prices]
-    bn, bd = budget.numerator, budget.denominator
     vals = inst.values[i]
-    vn = [v.numerator for v in vals]
-    vd = [v.denominator for v in vals]
-
-    dens = [d * n for d, n in zip(vd, pn)]
-    common = lcm(*dens)
-    keys = [vn[j] * pd[j] * (common // dens[j]) for j in range(m)]
-    # A stable sort keeps equal keys in index order, also when reversed.
-    order = sorted(range(m), key=keys.__getitem__, reverse=True)
-
-    price_unit = lcm(bd, *pd)
-    value_unit = lcm(*vd)
-    remaining = bn * (price_unit // bd)
-    total = 0
-    for j in order:
-        cost = pn[j] * (price_unit // pd[j])
-        worth = vn[j] * (value_unit // vd[j])
-        if remaining < cost:
-            # total + worth * remaining / cost, over value_unit
-            return Rational(total * cost + worth * remaining, value_unit * cost)
-        total += worth
-        remaining -= cost
-    return Rational(total, value_unit)
+    left, total = budget, ZERO
+    for j in sorted(range(m), key=lambda j: (-(vals[j] / prices[j]), j)):
+        if left < prices[j]:
+            return total + vals[j] * left / prices[j]
+        total += vals[j]
+        left -= prices[j]
+    return total
 
 
 def _over_common_denominator(numbers) -> tuple:
@@ -343,14 +327,15 @@ def _demand_report(inst: Instance, prices, units, budget, i: int, bundle, suppor
     their common denominator) and a checked budget.
 
     Spend and achieved utility are summed on ints over the support. A
-    bundle inside the box [0, 1]^m is then judged by the knapsack's
-    optimality certificate, on ints: it is demanded exactly when it
-    costs at most the budget and either costs less with every item held
-    whole, or costs the whole budget and the lowest v/p among its items
-    is at least the highest v/p among the items it does not hold whole.
-    A demanded bundle is worth the optimum, so the greedy runs only for
-    the others, to report the optimum they miss; there, the greedy's own
-    verdict must agree with the certificate's.
+    bundle outside the box [0, 1]^m is never demanded; one inside is
+    judged by the knapsack's optimality certificate, on ints: it is
+    demanded exactly when it costs at most the budget and either costs
+    less with every item held whole, or costs the whole budget and the
+    lowest v/p among its items is at least the highest v/p among the
+    items it does not hold whole. A demanded bundle is worth the
+    optimum, so the greedy runs only for the others, to report the
+    optimum they miss; inside the box, it must not find the bundle
+    affordable and worth that optimum.
     """
     costs, unit = units  # p[j] * unit
     weights, den = _over_common_denominator([bundle[j] for j in support])  # x[i][j] * den
@@ -380,28 +365,27 @@ def _demand_report(inst: Instance, prices, units, budget, i: int, bundle, suppor
         return DemandReport(i, achieved, achieved, spend, True)
 
     optimal = max_affordable_utility(inst, prices, budget, i)
-    greedy_verdict = spend <= budget and achieved == optimal
-    if in_box and greedy_verdict:
+    if in_box and over <= 0 and achieved == optimal:
         raise InternalVerificationFailed(
             f"the greedy demands agent {i}'s bundle at utility {optimal}, the certificate does not"
         )
-    return DemandReport(i, achieved, optimal, spend, greedy_verdict)
+    return DemandReport(i, achieved, optimal, spend, False)
 
 
 def is_in_demand_set(inst: Instance, prices, budget: Rational, i: int, bundle) -> DemandReport:
     """Check one bundle against agent i's demand set at (prices, budget).
 
-    Any bundle may be checked; one outside the box [0, 1]^m is judged by
-    the greedy alone: demanded when it is affordable and worth the
-    greedy's optimum.
+    Any bundle may be checked, but one with a share outside [0, 1] is
+    never demanded: the greedy only reports the optimum it misses.
     """
     if len(bundle) != inst.item_count:
         raise DimensionMismatch(f"bundle has {len(bundle)} entries for {inst.item_count} items")
     if len(prices) != inst.item_count:
         raise DimensionMismatch(f"{len(prices)} prices for {inst.item_count} items")
+    _check_agent(inst, i)
     bundle = tuple(rat(z) for z in bundle)
     budget = rat(budget)
-    _check_prices(prices)
+    prices = _check_prices(prices)
     _check_budget(budget)
     support = tuple(j for j, z in enumerate(bundle) if z.numerator)
     units = _over_common_denominator(prices)
@@ -431,7 +415,7 @@ def verify_equilibrium(inst: Instance, alloc: Allocation, prices, budgets) -> Eq
     if len(prices) != m:
         raise DimensionMismatch(f"{len(prices)} prices for {m} items")
     budgets = tuple(rat(b) for b in budgets)
-    _check_prices(prices)
+    prices = _check_prices(prices)
     for b in budgets:
         _check_budget(b)
     units = _over_common_denominator(prices)

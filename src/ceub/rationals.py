@@ -2,8 +2,8 @@
 
 Everything in this package computes over exact rationals; floats are
 rejected at every boundary. The number type is ``fractions.Fraction``,
-and BACKEND names it. The hot loops (the simplex, the greedy, the
-demand certificate, the settle check) run on Python ints read from the
+and BACKEND names it. The hot loops (the simplex, the demand
+certificate, the settle check) run on Python ints read from the
 numerators and denominators, and build Rationals only for results.
 """
 

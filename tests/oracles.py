@@ -28,15 +28,18 @@ by hand and y's report computed once more, as `ceub price` did. Its
 construction runs checked_assemble_equilibrium, which puts the
 cycle-free allocation through the demand oracle and the gain table as
 assemble_equilibrium once did on every call.
-fraction_max_affordable_utility is the greedy demand oracle as it stood
-before its bang-per-buck order moved to integers and its walk to whole
-units: the items sorted on Rational ratios, and every purchase a share
-min(1, remaining / price) of its item.
+fraction_max_affordable_utility is the greedy knapsack walked share by
+share: the items sorted on Rational ratios, and every purchase a share
+min(1, remaining / price) of its item, where the package's greedy buys
+whole items until the one that does not fit.
 greedy_is_in_demand_set and greedy_verify_equilibrium are the demand
 oracle as it stood before the knapsack certificate: each bundle's cost
 and utility summed on Rationals over every entry, the greedy's optimum
 computed for every agent, and each column summed on Rationals; the
-greedy is an argument, so either greedy can be put behind them.
+greedy is an argument, so either greedy can be put behind them. They
+judge a bundle by the greedy alone, so they also demand a bundle with
+a share outside [0, 1] that is affordable and worth the optimum; the
+package never does.
 fraction_ratio_table and fraction_solve_multiplier_lp are the
 multipliers as they stood before their bang-per-buck comparisons moved
 to ints: one Rational ratio per cross-tree agent-item pair.

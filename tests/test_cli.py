@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from ceub import cli, scaling, simplex
+from ceub import cli, market, scaling, simplex
 from ceub.cli import main
 from ceub.formats import dump_allocation, dump_instance, load_equilibrium, load_maxmin
 from ceub.market import make_allocation, validate_instance
@@ -235,6 +235,26 @@ def test_verify_names_agent_with_edited_price(tmp_path, capsys):
     )
 
 
+def test_verify_prints_the_optimum_a_dominated_allocation_misses(tmp_path, capsys):
+    # Prices 1 and 1 with budgets 1 support the swap [[0, 1], [1, 0]];
+    # at them each agent of [[1, 0], [0, 1]] holds its worse item, so the
+    # greedy reports the optimum 2 against the utility 1.
+    inst = validate_instance([[1, 2], [2, 1]])
+    instance, allocation = tmp_path / "i.json", tmp_path / "a.json"
+    instance.write_text(dump_instance(inst), encoding="utf-8")
+    allocation.write_text(dump_allocation(make_allocation([[0, 1], [1, 0]])), encoding="utf-8")
+    eq = str(tmp_path / "eq.json")
+    assert main(["price", str(instance), str(allocation), "-o", eq]) == 0
+    allocation.write_text(dump_allocation(make_allocation([[1, 0], [0, 1]])), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(instance), str(allocation), eq]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "agent 0: spend 1 of budget 1, utility 1, optimum 2 -> NOT IN DEMAND SET",
+        "agent 1: spend 1 of budget 1, utility 1, optimum 2 -> NOT IN DEMAND SET",
+        "not Pareto optimal: improving cycle through agents [0, 1] and items [1, 0], ratio 4",
+    ]
+
+
 def test_verify_missing_file(tmp_path, capsys):
     instance, allocation = write_toy(tmp_path)
     assert main(["verify", instance, allocation, str(tmp_path / "absent.json")]) == 1
@@ -270,6 +290,25 @@ def test_gen_output_survives_the_full_pipeline(tmp_path, capsys, mode):
     eq = str(tmp_path / "eq.json")
     assert main(["price", instance, allocation, "-o", eq]) == 0
     assert main(["verify", instance, allocation, eq]) == 0
+
+
+@pytest.mark.parametrize("mode", ["a", "b"])
+def test_price_and_verify_never_run_the_greedy(tmp_path, capsys, monkeypatch, mode):
+    # The greedy only explains a bundle the certificate rejects, and a
+    # rejected bundle fails the command.
+    def greedy(*args):
+        raise AssertionError("the greedy ran on a demanded bundle")
+
+    monkeypatch.setattr(market, "max_affordable_utility", greedy)
+    for seed in range(20):
+        n, m = 1 + seed % 5, 1 + seed // 5 % 4
+        prefix = str(tmp_path / f"g{seed}")
+        gen = ["gen", "--seed", str(seed), "--agents", str(n), "--items", str(m)]
+        assert main(gen + ["--mode", mode, "-o", prefix]) == 0
+        instance, allocation = prefix + ".instance.json", prefix + ".allocation.json"
+        eq = prefix + ".eq.json"
+        assert main(["price", instance, allocation, "-o", eq]) == 0
+        assert main(["verify", instance, allocation, eq]) == 0
 
 
 def test_gen_rejects_empty_markets(tmp_path, capsys):

@@ -1,9 +1,9 @@
-"""The integer bang-per-buck order against the Rational one it replaced.
+"""The greedy knapsack against its share-by-share twin, and the demand
+check against the route it replaced.
 
-market.max_affordable_utility sorts items on integer numerators over a
-common denominator and buys whole units until the last, partial one;
-tests/oracles.py keeps the greedy that sorted on Rational ratios and
-bought a Rational share of every item as
+market.max_affordable_utility sorts items on Rational ratios and buys
+whole items until the last, partial one; tests/oracles.py keeps the
+greedy that buys a share min(1, remaining / price) of every item as
 fraction_max_affordable_utility. Both must return the
 same utility. is_in_demand_set decides demand by the knapsack
 certificate and runs the greedy only for bundles that fail it: its
@@ -18,8 +18,8 @@ proportional to one agent's values, so that agent sees tied ratios.
 Budgets are zero, above the sum of the prices, exactly the bundle's
 cost, or drawn. Bundles are drawn shares or the greedy's own choice of
 whole items, so bundles in and out of the demand set both occur. The
-explicit examples pin orders that a truncated or unscaled integer key
-gets wrong.
+explicit examples pin orders that a sort on integer keys gets wrong
+when the keys are truncated or left unscaled.
 """
 
 from unittest.mock import patch

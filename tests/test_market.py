@@ -132,6 +132,45 @@ def test_max_affordable_input_checks():
         max_affordable_utility(inst, (2,), 3, 0)
 
 
+def test_string_prices_are_read_as_rationals():
+    inst = validate_instance([[1, 2], [2, 1]])
+    alloc = make_allocation([[0, 1], [1, 0]])
+    exact = verify_equilibrium(inst, alloc, (1, 1), (1, 1))
+    assert exact.is_equilibrium
+    assert verify_equilibrium(inst, alloc, ("1", "1"), ("1", "1")) == exact
+    assert is_in_demand_set(inst, ("1", "1/2"), 1, 0, (0, 1)).spend == rat(1, 2)
+    assert max_affordable_utility(inst, ("1", "1/2"), 1, 0) == rat(5, 2)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda inst, alloc: verify_equilibrium(inst, alloc, (1.0, 1), (1, 1)),
+        lambda inst, alloc: is_in_demand_set(inst, (1, 0.5), 1, 0, (0, 1)),
+        lambda inst, alloc: max_affordable_utility(inst, (1, 0.5), 1, 0),
+    ],
+    ids=["verify_equilibrium", "is_in_demand_set", "max_affordable_utility"],
+)
+def test_float_prices_are_rejected_as_inexact(check):
+    inst = validate_instance([[1, 2], [2, 1]])
+    alloc = make_allocation([[0, 1], [1, 0]])
+    with pytest.raises(TypeError, match="floats are not exact"):
+        check(inst, alloc)
+
+
+@pytest.mark.parametrize("agent", [-1, 2])
+def test_agent_index_out_of_range_is_a_dimension_mismatch(agent):
+    inst = validate_instance([[1, 2], [2, 1]])
+    alloc = make_allocation([[0, 1], [1, 0]])
+    message = f"agent {agent} out of range for 2 agents"
+    with pytest.raises(DimensionMismatch, match=message):
+        is_in_demand_set(inst, (1, 1), 1, agent, (0, 1))
+    with pytest.raises(DimensionMismatch, match=message):
+        max_affordable_utility(inst, (1, 1), 1, agent)
+    with pytest.raises(DimensionMismatch, match=message):
+        utility(inst, alloc, agent)
+
+
 def test_short_price_vector_is_a_dimension_mismatch():
     # Each bundle holds item 1, which has no price.
     inst = validate_instance([[4, 1], [1, 4]])
