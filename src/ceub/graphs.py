@@ -1,8 +1,9 @@
 """Cycle finding and utility-preserving cycle elimination.
 
 G(x) has an (undirected) edge between agent i and item j exactly when
-x[i][j] > 0; market.build_graph builds it once per allocation and is
-re-exported here with AllocationGraph. Any Pareto-optimal
+x[i][j] > 0. Each allocation builds it once, as Allocation.graph;
+market.build_graph, re-exported here with AllocationGraph, returns it
+after checking the allocation against the instance. Any Pareto-optimal
 fully-allocated x can be transformed into one whose graph is a forest
 without changing a single agent's utility: every graph cycle supports
 a closed chain of share transfers that keeps each intermediate agent
@@ -110,6 +111,9 @@ def _check_cycle(alloc: Allocation, cycle: SimpleCycle) -> None:
     k = cycle.length
     if k < 2 or len(cycle.items) != k:
         raise ValueError(f"not a valid cycle: {k} agents, {len(cycle.items)} items")
+    n, m = alloc.agent_count, alloc.item_count
+    if not all(0 <= a < n for a in cycle.agents) or not all(0 <= j < m for j in cycle.items):
+        raise ValueError(f"cycle vertex out of range for {n} agents and {m} items")
     if len(set(cycle.agents)) != k or len(set(cycle.items)) != k:
         raise ValueError("cycle vertices are not distinct")
     for t in range(k):
@@ -184,13 +188,12 @@ def make_cycle_free(inst: Instance, alloc: Allocation) -> Allocation:
     returned, the same object, so callers can tell by identity that
     nothing changed.
     """
-    g = build_graph(inst, alloc)
+    _check_dims(inst, alloc)
     current = alloc
-    for _ in range(g.edge_count + 1):
-        cycle = find_cycle(g)
+    for _ in range(alloc.graph.edge_count + 1):
+        cycle = find_cycle(current.graph)
         if cycle is None:
             return current
         current, shift = eliminate_cycle(inst, current, cycle)
-        g = build_graph(inst, current)
         log.debug("eliminated cycle %s/%s, zeroed %s", cycle.agents, cycle.items, shift.zeroed_edge)
     raise InternalVerificationFailed("cycle elimination failed to terminate")

@@ -15,6 +15,12 @@ on items whose value per price is at least that of every item it does
 not fully hold. The greedy knapsack (max_affordable_utility) runs on
 Rationals, only to report the optimum a failing bundle misses.
 
+Every allocation is read through its support, the sharing graph G(x),
+which Allocation.graph builds once and keeps: the verifiers, cycle
+removal and tree pricing all use it. Utilities and costs are summed
+exactly over a row's support by _dot, and column sums over an item's
+holders by Allocation.column_sum.
+
 Prices and budgets may be ints, literal strings or Rationals; each
 entry point coerces them once with rat.
 """
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 from .errors import (
@@ -66,8 +73,32 @@ class Allocation:
     def item_count(self) -> int:
         return len(self.x[0])
 
+    @cached_property
+    def graph(self) -> AllocationGraph:
+        """G(x), from one scan of the share numerators. cached_property
+        writes the instance dict directly, so the frozen dataclass keeps
+        it, and eq, hash and repr ignore it."""
+        agent_items = []
+        item_agents = [[] for _ in range(self.item_count)]
+        for i, row in enumerate(self.x):
+            held = tuple(j for j, z in enumerate(row) if z.numerator)
+            agent_items.append(held)
+            for j in held:
+                item_agents[j].append(i)
+        return AllocationGraph(
+            self.agent_count, self.item_count, tuple(agent_items), tuple(map(tuple, item_agents))
+        )
+
     def column_sum(self, j: int) -> Rational:
-        return sum((row[j] for row in self.x if row[j] != 0), ZERO)
+        """How much of item j is handed out, summed on ints over its
+        holders; a lone holder's share is returned as it is."""
+        if not 0 <= j < self.item_count:
+            raise DimensionMismatch(f"item {j} out of range for {self.item_count} items")
+        holders = self.graph.item_agents[j]
+        if len(holders) == 1:
+            return self.x[holders[0]][j]
+        ints, unit = _over_common_denominator([self.x[i][j] for i in holders])
+        return Rational(sum(ints), unit)
 
 
 @dataclass(frozen=True)
@@ -174,29 +205,26 @@ def make_allocation(raw_shares) -> Allocation:
     """Build an Allocation, enforcing the box and supply constraints.
 
     A share num/den (den > 0) lies in [0, 1] iff 0 <= num <= den, so the
-    box is checked on ints; a column is summed only over its nonzero
-    shares, and not at all when it has at most one.
+    box is checked on ints; the supply is checked with column_sum, which
+    builds the allocation's graph.
     """
     rows = [tuple(map(rat, row)) for row in raw_shares]
     if not rows or not rows[0]:
         raise EmptyMatrix("an allocation needs at least one agent and one item")
     width = len(rows[0])
-    held = [[] for _ in range(width)]  # per item: its nonzero shares
     for i, row in enumerate(rows):
         if len(row) != width:
             raise DimensionMismatch(f"allocation row {i} has {len(row)} entries, expected {width}")
         for j, v in enumerate(row):
             num = v.numerator
-            if num:
-                if num < 0 or num > v.denominator:
-                    raise DimensionMismatch(f"share x[{i}][{j}] = {v} outside [0, 1]")
-                held[j].append(v)
-    for j, shares in enumerate(held):
-        if len(shares) > 1:
-            total = sum(shares, ZERO)
-            if total > 1:
-                raise DimensionMismatch(f"item {j} is over-allocated: column sum {total} > 1")
-    return Allocation(tuple(rows))
+            if num < 0 or num > v.denominator:
+                raise DimensionMismatch(f"share x[{i}][{j}] = {v} outside [0, 1]")
+    alloc = Allocation(tuple(rows))
+    for j in range(width):
+        total = alloc.column_sum(j)
+        if total > 1:
+            raise DimensionMismatch(f"item {j} is over-allocated: column sum {total} > 1")
+    return alloc
 
 
 def _check_dims(inst: Instance, alloc: Allocation) -> None:
@@ -207,53 +235,17 @@ def _check_dims(inst: Instance, alloc: Allocation) -> None:
         )
 
 
-def _sharing_graph(alloc: Allocation, keep: bool = False) -> AllocationGraph:
-    """G(alloc), from one scan of the share numerators.
-
-    An Allocation is immutable, so a graph built with keep is kept on
-    the object, outside the dataclass fields, and every later call reuses
-    it: make_cycle_free builds the graph of its input and of its result,
-    and price_forest and verify_equilibrium, given either, reuse it. The
-    verifiers keep no graph of their own, so an allocation that is only
-    checked carries none.
-    """
-    g = vars(alloc).get("_graph")
-    if g is None:
-        agent_items = []
-        item_agents = [[] for _ in range(alloc.item_count)]
-        for i, row in enumerate(alloc.x):
-            held = tuple(j for j, z in enumerate(row) if z.numerator)
-            agent_items.append(held)
-            for j in held:
-                item_agents[j].append(i)
-        g = AllocationGraph(
-            alloc.agent_count, alloc.item_count, tuple(agent_items), tuple(map(tuple, item_agents))
-        )
-        if keep:
-            object.__setattr__(alloc, "_graph", g)
-    return g
-
-
 def build_graph(inst: Instance, alloc: Allocation) -> AllocationGraph:
     """The bipartite sharing graph of an allocation of inst's items."""
     _check_dims(inst, alloc)
-    return _sharing_graph(alloc, keep=True)
+    return alloc.graph
 
 
 def utility(inst: Instance, alloc: Allocation, i: int) -> Rational:
     """Additive utility of agent i's bundle: sum_j x[i][j] * v[i][j]."""
     _check_dims(inst, alloc)
     _check_agent(inst, i)
-    return bundle_utility(inst, alloc.x[i], i)
-
-
-def bundle_utility(inst: Instance, bundle, i: int) -> Rational:
-    vals = inst.values[i]
-    return sum((z * vals[j] for j, z in enumerate(bundle) if z != 0), ZERO)
-
-
-def bundle_cost(bundle, prices) -> Rational:
-    return sum((z * prices[j] for j, z in enumerate(bundle) if z != 0), ZERO)
+    return _dot(alloc.x[i], inst.values[i], alloc.graph.agent_items[i])
 
 
 def _dot(row, coeffs, support) -> Rational:
@@ -392,12 +384,6 @@ def is_in_demand_set(inst: Instance, prices, budget: Rational, i: int, bundle) -
     return _demand_report(inst, prices, units, budget, i, bundle, support)
 
 
-def _sums_to_one(shares) -> bool:
-    """Whether the Rationals in shares add up to exactly 1, on ints."""
-    ints, unit = _over_common_denominator(shares)
-    return sum(ints) == unit
-
-
 def verify_equilibrium(inst: Instance, alloc: Allocation, prices, budgets) -> EquilibriumReport:
     """Demand-oracle verification of a price/budget pair against an
     allocation: every agent's bundle must be affordable and optimal;
@@ -419,13 +405,12 @@ def verify_equilibrium(inst: Instance, alloc: Allocation, prices, budgets) -> Eq
     for b in budgets:
         _check_budget(b)
     units = _over_common_denominator(prices)
-    g = _sharing_graph(alloc)
-    x = alloc.x
+    supports = alloc.graph.agent_items
     reports = tuple(
-        _demand_report(inst, prices, units, budgets[i], i, x[i], g.agent_items[i])
-        for i in range(n)
+        _demand_report(inst, prices, units, budgets[i], i, row, supports[i])
+        for i, row in enumerate(alloc.x)
     )
-    fully = all(_sums_to_one([x[i][j] for i in holders]) for j, holders in enumerate(g.item_agents))
+    fully = all(alloc.column_sum(j) == 1 for j in range(m))
     exhausted = all(r.spend == b for r, b in zip(reports, budgets))
     return EquilibriumReport(reports, fully, exhausted)
 
@@ -484,9 +469,8 @@ def verify_pareto_optimal(inst: Instance, alloc: Allocation) -> ParetoVerdict:
     """Pass, or produce an improving-cycle certificate / an unallocated item."""
     _check_dims(inst, alloc)
     n, m = inst.agent_count, inst.item_count
-    holders = _sharing_graph(alloc).item_agents
     for j in range(m):
-        if sum((alloc.x[i][j] for i in holders[j]), ZERO) < 1:
+        if alloc.column_sum(j) < 1:
             return ParetoVerdict(ok=False, unallocated_item=j)
 
     edges = []
@@ -494,8 +478,8 @@ def verify_pareto_optimal(inst: Instance, alloc: Allocation) -> ParetoVerdict:
         vals = inst.values[i]
         for j in range(m):
             edges.append((i, n + j, vals[j]))
-    for j in range(m):
-        for i in holders[j]:
+    for j, holders in enumerate(alloc.graph.item_agents):
+        for i in holders:
             edges.append((n + j, i, ONE / inst.values[i][j]))
 
     _, cycle = max_product_paths(n + m, edges)

@@ -38,9 +38,8 @@ from .errors import InternalVerificationFailed, WrongAgentCount, WrongItemCount
 from .market import (
     Allocation,
     Instance,
+    _dot,
     _over_common_denominator,
-    bundle_cost,
-    bundle_utility,
     utility,
     verify_equilibrium,
     verify_pareto_optimal,
@@ -229,11 +228,11 @@ def maxmin_two_agents(inst: Instance) -> MaxMinResult:
             rows[1][j] = ONE
     rows[0][js] = frac
     rows[1][js] = ONE - frac
-    lam = bundle_utility(inst, rows[0], 0)
+    lam = prefix0 + frac * v0[js]
     alloc = _settle_rationals(inst, rows, lam)
 
     prices = tuple(v0)
-    budgets = tuple(bundle_cost(alloc.x[i], prices) for i in range(2))
+    budgets = tuple(_dot(row, prices, held) for row, held in zip(alloc.x, alloc.graph.agent_items))
     _check_support(inst, alloc, prices, budgets)
     return MaxMinResult(
         alloc,
@@ -307,7 +306,7 @@ def maxmin_two_items(inst: Instance) -> MaxMinResult:
 
     split_agent = perm[k]
     prices = (v[split_agent][0], v[split_agent][1])
-    budgets = tuple(bundle_cost(alloc.x[i], prices) for i in range(n))
+    budgets = tuple(_dot(row, prices, held) for row, held in zip(alloc.x, alloc.graph.agent_items))
     _check_support(inst, alloc, prices, budgets)
     return MaxMinResult(
         alloc,

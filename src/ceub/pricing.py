@@ -20,7 +20,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InternalVerificationFailed, NotAForest, OrphanItem
-from .graphs import build_graph
 from .market import Allocation, Instance, _check_dims, _dot
 from .rationals import ONE
 
@@ -69,7 +68,7 @@ def price_forest(inst: Instance, alloc: Allocation) -> tuple:
     holds by construction; demand holds only after cross-tree scaling.
     """
     _check_dims(inst, alloc)
-    g = build_graph(inst, alloc)
+    g = alloc.graph
     n, m = inst.agent_count, inst.item_count
     for j in range(m):
         if not g.item_agents[j]:

@@ -16,9 +16,10 @@ ZERO = Rational(0)
 ONE = Rational(1)
 
 # A rational literal: optionally signed integer, optionally over an
-# integer denominator. Denominator sign and zero are checked separately
-# so the error can say what is actually wrong.
-_LITERAL = re.compile(r"^(-?[0-9]+)(?:/(-?[0-9]+))?$")
+# integer denominator, matched against the whole text (fullmatch: "$"
+# would also match before a final newline). Denominator sign and zero
+# are checked separately so the error can say what is actually wrong.
+_LITERAL = re.compile(r"(-?[0-9]+)(?:/(-?[0-9]+))?")
 
 
 def parse_rational(text: str):
@@ -29,7 +30,7 @@ def parse_rational(text: str):
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
-    match = _LITERAL.match(text)
+    match = _LITERAL.fullmatch(text)
     if match is None:
         raise ValueError(f"not a rational literal: {text!r}")
     num = int(match.group(1))

@@ -28,7 +28,6 @@ from .market import (
     Instance,
     _dot,
     _over_common_denominator,
-    build_graph,
     max_product_paths,
     verify_equilibrium,
     verify_pareto_optimal,
@@ -253,7 +252,7 @@ def support_with_details(inst: Instance, y: Allocation) -> PipelineDetails:
         _raise_if_not_pareto_optimal(inst, y)
         raise InternalVerificationFailed("the prices do not support the original allocation")
     if x is not y:
-        supports = build_graph(inst, x).agent_items
+        supports = x.graph.agent_items
         for i, row in enumerate(x.x):
             affordable = _dot(row, eq.prices, supports[i]) <= eq.budgets[i]
             # price_forest summed the utility of x' on the same support.

@@ -28,6 +28,10 @@ by hand and y's report computed once more, as `ceub price` did. Its
 construction runs checked_assemble_equilibrium, which puts the
 cycle-free allocation through the demand oracle and the gain table as
 assemble_equilibrium once did on every call.
+bundle_utility and bundle_cost are the Rational sums over every entry
+of a bundle that the package made before each allocation carried its
+sharing graph; the package's utility, column sums and fast-path budgets
+are now exact int sums over the graph's supports (market._dot).
 fraction_max_affordable_utility is the greedy knapsack walked share by
 share: the items sorted on Rational ratios, and every purchase a share
 min(1, remaining / price) of its item, where the package's greedy buys
@@ -83,8 +87,6 @@ from ceub.market import (
     EquilibriumReport,
     Instance,
     _check_dims,
-    bundle_cost,
-    bundle_utility,
     is_in_demand_set,
     make_allocation,
     max_affordable_utility,
@@ -1048,6 +1050,17 @@ def eager_support_with_details(inst: Instance, y: Allocation) -> PipelineDetails
     # The report `ceub price` then computed for its output file.
     report = verify_equilibrium(inst, y, eq.prices, eq.budgets)
     return PipelineDetails(eq, state, lam, report)
+
+
+def bundle_utility(inst: Instance, bundle, i: int):
+    """Agent i's utility for bundle, summed on Rationals over every entry."""
+    vals = inst.values[i]
+    return sum((z * vals[j] for j, z in enumerate(bundle) if z != 0), ZERO)
+
+
+def bundle_cost(bundle, prices):
+    """What bundle costs at prices, summed on Rationals over every entry."""
+    return sum((z * prices[j] for j, z in enumerate(bundle) if z != 0), ZERO)
 
 
 def fraction_max_affordable_utility(inst: Instance, prices, budget, i: int):

@@ -30,7 +30,6 @@ from ceub.errors import CeubError, InfeasibleLP, InternalVerificationFailed
 from ceub.generators import GenConfig, gen_pareto_allocation, gen_structured_instance
 from ceub.graphs import make_cycle_free
 from ceub.market import (
-    bundle_utility,
     is_in_demand_set,
     make_allocation,
     validate_instance,
@@ -40,6 +39,7 @@ from ceub.rationals import rat
 from ceub.scaling import _ratio_table, build_gain_state, solve_multiplier_lp, support_with_details
 
 from oracles import (
+    bundle_utility,
     fraction_ratio_table,
     fraction_solve_multiplier_lp,
     greedy_is_in_demand_set,

@@ -169,6 +169,12 @@ def test_parse_error_names_the_field():
     assert "values[1]" in str(info.value)
 
 
+def test_load_rejects_a_literal_with_a_trailing_newline():
+    with pytest.raises(SchemaError) as info:
+        load_instance(replace_in_toy_instance("values", [["1"], ["3\n"]]))
+    assert "values[1][0]" in str(info.value)
+
+
 def thirds_allocation_doc():
     # Every cell of the 3x2 allocation repeats one literal, "1/3".
     return json.loads(dump_allocation(make_allocation([[rat(1, 3)] * 2] * 3)))

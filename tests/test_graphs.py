@@ -107,6 +107,19 @@ def test_eliminate_cycle_rejects_malformed_cycles():
         eliminate_cycle(inst, sparse, SimpleCycle(agents=(0, 1), items=(0, 1)))
 
 
+@pytest.mark.parametrize(
+    "agents, items",
+    [((0, -1), (0, 1)), ((0, 2), (0, 1)), ((0, -2), (0, 1)), ((0, 1), (-1, 0)), ((0, 1), (0, 2))],
+    ids=["agent-1", "agent-n", "agent-aliases-0", "item-1", "item-m"],
+)
+def test_eliminate_cycle_rejects_out_of_range_vertices(agents, items):
+    # -2 is agent 0 again and -1 is agent 1 as Python indexes, so without
+    # the range check these cycles would pass the hop check.
+    inst, alloc = all_halves_2x2([[1, 1], [1, 1]])
+    with pytest.raises(ValueError, match="out of range for 2 agents and 2 items"):
+        eliminate_cycle(inst, alloc, SimpleCycle(agents=agents, items=items))
+
+
 def test_eliminate_cycle_checks_the_changed_shares():
     # Built without make_allocation, so both columns hold 2: pushing the
     # chain until x[1][0] reaches zero raises x[0][0] to 2.

@@ -34,7 +34,6 @@ from hypothesis import strategies as st
 from ceub import market
 from ceub.market import (
     Allocation,
-    bundle_cost,
     is_in_demand_set,
     max_affordable_utility,
     validate_instance,
@@ -43,6 +42,7 @@ from ceub.market import (
 from ceub.rationals import rat
 
 from oracles import (
+    bundle_cost,
     fraction_max_affordable_utility,
     greedy_is_in_demand_set,
     greedy_verify_equilibrium,

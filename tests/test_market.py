@@ -171,6 +171,13 @@ def test_agent_index_out_of_range_is_a_dimension_mismatch(agent):
         utility(inst, alloc, agent)
 
 
+@pytest.mark.parametrize("item", [-1, 2])
+def test_item_index_out_of_range_is_a_dimension_mismatch(item):
+    alloc = make_allocation([[1, 0], [0, 1]])
+    with pytest.raises(DimensionMismatch, match=f"item {item} out of range for 2 items"):
+        alloc.column_sum(item)
+
+
 def test_short_price_vector_is_a_dimension_mismatch():
     # Each bundle holds item 1, which has no price.
     inst = validate_instance([[4, 1], [1, 4]])

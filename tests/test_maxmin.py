@@ -255,12 +255,15 @@ def test_two_items_agrees_with_lp_within_probe_budget():
 
 def test_fast_paths_check_their_prices(monkeypatch):
     # A budget one token above its bundle's cost is not spent, and buys
-    # more than the bundle: neither fast path may return it.
-    real = maxmin.bundle_cost
-    monkeypatch.setattr(maxmin, "bundle_cost", lambda bundle, prices: real(bundle, prices) + 1)
-    with pytest.raises(InternalVerificationFailed):
+    # more than the bundle: neither fast path may return it. Only the
+    # budget sum is patched, so the settle check passes and the demand
+    # oracle is what refuses.
+    real = maxmin._dot
+    monkeypatch.setattr(maxmin, "_dot", lambda row, prices, held: real(row, prices, held) + 1)
+    unsupported = "fast-path prices and budgets do not support"
+    with pytest.raises(InternalVerificationFailed, match=unsupported):
         maxmin_two_agents(validate_instance([[2, 1, 3], [1, 2, 1]]))
-    with pytest.raises(InternalVerificationFailed):
+    with pytest.raises(InternalVerificationFailed, match=unsupported):
         maxmin_two_items(validate_instance([[2, 1], [1, 2], [3, 1]]))
 
 

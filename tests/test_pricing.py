@@ -14,11 +14,11 @@ import pytest
 from ceub.errors import CeubError, NotAForest, OrphanItem
 from ceub.generators import GenConfig, gen_instance, gen_pareto_allocation, gen_structured_instance
 from ceub.graphs import build_graph, make_cycle_free
-from ceub.market import bundle_cost, make_allocation, utility, validate_instance
+from ceub.market import make_allocation, utility, validate_instance
 from ceub.pricing import ForestDecomposition, price_forest
 from ceub.rationals import ZERO, rat
 
-from oracles import price_tree, two_walk_price_forest
+from oracles import bundle_cost, price_tree, two_walk_price_forest
 from test_acceptance import corpus
 
 HALF = rat(1, 2)

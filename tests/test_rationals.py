@@ -25,7 +25,7 @@ def test_parse_basic_forms():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "a", "1.5", "1/2/3", " 1/2", "1/2 ", "+3", "3/+4", "1//2", "/2", "2/"],
+    ["", "a", "1.5", "1/2/3", " 1/2", "1/2 ", "+3", "3/+4", "1//2", "/2", "2/", "1/2\n", "3\n"],
 )
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
