@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from math import gcd
 from operator import mul
 
 from . import simplex
@@ -44,7 +45,7 @@ from .market import (
     verify_equilibrium,
     verify_pareto_optimal,
 )
-from .rationals import ONE, ZERO, Rational
+from .rationals import ONE, ZERO, Rational, format_rational
 from .simplex import OPTIMAL
 
 log = logging.getLogger(__name__)
@@ -113,7 +114,9 @@ def maxmin_lp(inst: Instance) -> MaxMinResult:
     columns = [[(i, -a), (n + j, 1)] for i, row in enumerate(weights) for j, a in enumerate(row)]
     columns.append(list(enumerate(scales)))
     cost = [0] * lam_var + [1]
-    status, pivots, basis, levels, D, cols, width = simplex._solve(columns, [0] * n + [1] * m, cost)
+    status, pivots, basis, levels, D, cols, width = simplex._solve(
+        columns, [0] * n + [1] * m, cost, _structured(weights)
+    )
     if status != OPTIMAL:
         raise InternalVerificationFailed(f"max-min program {status}")
     shares = [[0] * m for _ in range(n)]
@@ -127,10 +130,11 @@ def maxmin_lp(inst: Instance) -> MaxMinResult:
     rows = [[Rational(level, D) if level else ZERO for level in row] for row in shares]
     lam = Rational(lam_level, D)
     if log.isEnabledFor(logging.INFO):
-        # Pivots are logged as "phase 1 + phase 2"; phase 1 never runs here.
         log.info(
-            "max-min LP %dx%d: %d rows, %d columns, pivots 0+%d, %d bits, lambda=%s",
-            n, m, n + m, lam_var + 1, pivots, simplex._read_off(cols, n + m, width, D), lam,
+            "max-min LP %dx%d: %d rows, %d columns, pivots %d hybrid + %d Bland,"
+            " %d bits, lambda=%s",
+            n, m, n + m, lam_var + 1, *pivots, simplex._read_off(cols, n + m, width, D),
+            format_rational(lam),
         )
     return MaxMinResult(Allocation(tuple(map(tuple, rows))), lam)
 
@@ -145,6 +149,38 @@ def _weights(inst: Instance):
         weights.append(ints)
         scales.append(scale)
     return weights, scales
+
+
+def _structured(weights) -> bool:
+    """Whether a majority of agent pairs agree on the relative worth of
+    some two items: v_ij * v_kl = v_il * v_kj for agents i, k and items
+    j, l. The scales cancel, so this is tested on the int weights, as a
+    repeated ratio weights[i][j] : weights[k][j] in lowest terms.
+
+    Such values leave utility-neutral trades, so the max-min optimum is
+    rarely unique and the simplex's hybrid attempt is mostly wasted
+    there: these programs go to Bland's rule first.
+    """
+    n = len(weights)
+    pairs = n * (n - 1) // 2
+    agree = disagree = 0
+    for i in range(n):
+        for k in range(i + 1, n):
+            seen = set()
+            for a, b in zip(weights[i], weights[k]):
+                g = gcd(a, b)
+                ratio = a // g, b // g
+                if ratio in seen:
+                    agree += 1
+                    if 2 * agree > pairs:
+                        return True
+                    break
+                seen.add(ratio)
+            else:
+                disagree += 1
+                if 2 * disagree >= pairs:
+                    return False
+    return False
 
 
 def _settle(weights, scales, shares, lam, D) -> None:

@@ -21,6 +21,37 @@ ONE = Rational(1)
 # are checked separately so the error can say what is actually wrong.
 _LITERAL = re.compile(r"(-?[0-9]+)(?:/(-?[0-9]+))?")
 
+# Python limits int <-> decimal string conversion to
+# sys.get_int_max_str_digits() digits, 4300 by default, 0 (no limit) or
+# at least 640 when set. Ints of up to _CHUNK digits convert under any
+# setting; longer ones are converted here in pieces of at most _CHUNK
+# digits, so that every Rational written can be read back, whatever the
+# interpreter's limit, without changing it.
+_CHUNK = 600
+_CHUNK_BITS = 1993  # 2**1993 < 10**600
+
+
+def _to_int(digits: str) -> int:
+    """int(digits) for an optionally signed decimal literal of any length."""
+    if len(digits) <= _CHUNK:
+        return int(digits)
+    if digits[0] == "-":
+        return -_to_int(digits[1:])
+    half = len(digits) // 2
+    return _to_int(digits[:-half]) * 10**half + _to_int(digits[-half:])
+
+
+def _to_decimal(k: int) -> str:
+    """str(k) for an int of any size."""
+    if k.bit_length() <= _CHUNK_BITS:
+        return str(k)
+    if k < 0:
+        return "-" + _to_decimal(-k)
+    # About half of k's digits: bit length times log10(2) / 2.
+    half = k.bit_length() * 1505 // 10000
+    high, low = divmod(k, 10**half)
+    return _to_decimal(high) + _to_decimal(low).zfill(half)
+
 
 def parse_rational(text: str):
     """Parse a ``num/den`` (or plain integer) string into a Rational.
@@ -33,10 +64,11 @@ def parse_rational(text: str):
     match = _LITERAL.fullmatch(text)
     if match is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    num = int(match.group(1))
+    to_int = int if len(text) <= _CHUNK else _to_int
+    num = to_int(match.group(1))
     if match.group(2) is None:
         return Rational(num)
-    den = int(match.group(2))
+    den = to_int(match.group(2))
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
     if den < 0:
@@ -46,7 +78,12 @@ def parse_rational(text: str):
 
 def format_rational(value) -> str:
     """Canonical string form: lowest terms, ``num/den``, integers as ``k``."""
-    return str(rat(value))
+    value = rat(value)
+    try:
+        return str(value)
+    except ValueError:  # more digits than the interpreter converts
+        num, den = value.numerator, value.denominator
+        return _to_decimal(num) if den == 1 else f"{_to_decimal(num)}/{_to_decimal(den)}"
 
 
 def rat(value, den=None):

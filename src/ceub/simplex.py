@@ -46,35 +46,57 @@ holds a slack. W is the bit length of that bound plus a sign bit, so
 every entry fits its field and decoding is exact; carries between
 fields in the packed int lose nothing, since it is an exact integer.
 
-Pivoting follows Bland's rule: the entering column is the lowest index
-with positive reduced cost, and the leaving row breaks ratio ties by
-the lowest basic index. That guarantees termination and makes the
-solver fully deterministic. Pivots depend only on signs and on ratios
-within a column, and neither depends on D, on row scales or on how E is
-stored, so the pivot sequence is the one the Rational tableau would
-take. tests/oracles.py keeps that tableau as fraction_solve_lp, and
-this simplex with one int list per row of E, two phases and Rational
-problems as row_solve_lp.
+Pivoting follows a hybrid rule, kept only when it is certified. The
+entering column is the one with the largest D·reduced cost, ties to the
+lowest index (Dantzig 1963), except right after a degenerate pivot
+(ratio 0), when it is the lowest index with a positive reduced cost
+(Bland 1977). The leaving row breaks ratio ties by the lowest basic
+index. Every cycle would consist of degenerate pivots only, each of
+them Bland's, so the rule terminates. At its optimum, if every nonbasic
+column has a strictly negative reduced cost, that optimum is the
+program's only one (Mangasarian, "Uniqueness of solution in linear
+programming", 1979), so it is the vertex Bland's rule reaches, and it
+is returned. Otherwise, and if the program is unbounded, the solver
+starts again from the all-slack basis under Bland's rule throughout;
+the caller can also ask for that run alone. Either way the vertex is
+Bland's, and the solver is fully deterministic. As a guard against a
+solver fault, a run that would pivot more than 2·C(columns, rows) times,
+slacks counted among the columns, raises InternalVerificationFailed:
+Bland's rule never repeats a basis, and under the hybrid rule only the
+first basis of a degenerate stretch can recur, once.
+
+Pivots depend only on signs, on ratios within a column and on reduced
+costs compared at one D, and none of these depends on how E is stored,
+so the pivot sequence is the one the Rational tableau would take, with
+each slack's reduced cost divided by its row's scale. tests/oracles.py
+keeps that tableau as fraction_solve_lp, and this simplex with one int
+list per row of E, two phases and Rational problems as row_solve_lp;
+both take either rule.
 """
 
 from __future__ import annotations
 
-from math import isqrt, prod
+from math import comb, isqrt, prod
+
+from .errors import InternalVerificationFailed
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 
 
-def _solve(columns, b, cost):
+def _solve(columns, b, cost, bland_first=False):
     """The simplex on sparse int columns, for "<=" rows with b >= 0.
 
     columns are the structural columns, each a list of (row, int) for
     its nonzeros in row order; b is the rhs, one nonnegative int per
     row, and cost the objective on the structural columns, as ints.
     Each row gets a slack, so the starting basis is the identity, with
-    w = 0 and D = 1.
+    w = 0 and D = 1. The hybrid rule goes first, and its optimum is
+    kept if it is certified unique; otherwise, or from the start when
+    bland_first is set, Bland's rule runs from that basis.
 
-    Returns (status, pivots, basis, levels, D, cols, width): levels are
+    Returns (status, pivots, basis, levels, D, cols, width): pivots is
+    the pair (hybrid, Bland) of pivots made under each rule, levels are
     the basic levels times D, and cols the packed columns of [E | rhs]
     in fields of width bits.
     """
@@ -86,14 +108,27 @@ def _solve(columns, b, cost):
         for r, v in column:
             norms[r] += v * v
     width = isqrt(prod(norms)).bit_length() + 1
-    cols = [1 << (k * width) for k in range(m)]
-    cols.append(_pack(b, width))
-    basis = list(range(len(columns), len(columns) + m))
+    n = len(columns)
     columns = list(columns) + [[(r, 1)] for r in range(m)]
     cost = list(cost) + [0] * m
-    status, pivots, D = _iterate(cols, basis, columns, cost, [0] * m, 1, width)
-    levels = _unpack(cols[m], m, width)
-    return status, pivots, basis, levels, D, cols, width
+    hybrid = 0
+    if not bland_first:
+        cols, basis = _slack_basis(b, n, width)
+        status, hybrid, D, unique = _iterate(cols, basis, columns, cost, [0] * m, 1, width, True)
+        if unique:
+            return status, (hybrid, 0), basis, _unpack(cols[m], m, width), D, cols, width
+    cols, basis = _slack_basis(b, n, width)
+    status, bland, D, _ = _iterate(cols, basis, columns, cost, [0] * m, 1, width, False)
+    return status, (hybrid, bland), basis, _unpack(cols[m], m, width), D, cols, width
+
+
+def _slack_basis(b, n, width):
+    """The packed [E | rhs] = [I | b] and the basis of the slacks, the
+    columns after the n structural ones."""
+    m = len(b)
+    cols = [1 << (k * width) for k in range(m)]
+    cols.append(_pack(b, width))
+    return cols, list(range(n, n + m))
 
 
 def _pack(values, width):
@@ -143,10 +178,16 @@ def _column(cols, column):
     return alpha
 
 
-def _iterate(cols, basis, columns, cost, w, D, width):
-    """Run simplex pivots until optimal or unbounded; (status, pivots, D).
+def _iterate(cols, basis, columns, cost, w, D, width, dantzig):
+    """Run simplex pivots until optimal or unbounded; (status, pivots,
+    D, unique). Bland's rule throughout, or with dantzig the hybrid
+    rule; unique is whether the hybrid rule's optimum has a strictly
+    negative reduced cost in every nonbasic column.
 
-    A row's ratio rhs/a does not depend on D, so ratios compare by
+    The pass that finds no positive reduced cost has priced every
+    column, and a basic column's is exactly 0, so the optimum is
+    certified when exactly one column per row priced at 0. A row's
+    ratio rhs/a does not depend on D, so ratios compare by
     cross-multiplying.
     """
     m = len(w)
@@ -155,16 +196,23 @@ def _iterate(cols, basis, columns, cost, w, D, width):
     mask = (1 << width) - 1
     span = len(basis) * width
     bias = half * (((1 << span) - 1) // mask)
+    cap = 2 * comb(len(columns), m)
     pivots = 0
+    bland = not dantzig
     while True:
-        for entering, column, c in priced:  # Bland: lowest eligible index
+        best = zeros = 0
+        for j, column, c in priced:
             g = D * c
             for r, v in column:
                 g += w[r] * v
-            if g > 0:
-                break
-        else:
-            return OPTIMAL, pivots, D
+            if g > best:
+                best, entering = g, j
+                if bland:  # Bland: lowest eligible index
+                    break
+            elif not g:
+                zeros += 1
+        if not best:
+            return OPTIMAL, pivots, D, dantzig and zeros == m
         alpha = _column(cols, columns[entering])
         # alpha and the rhs decode as in _unpack, a row at a time and
         # each field once: the rhs only where alpha is positive, and the
@@ -183,9 +231,13 @@ def _iterate(cols, basis, columns, cost, w, D, width):
                 if left < right or (left == right and basis[r] < basis[leaving]):
                     best_t, best_a, leaving = t, a, r
         if leaving < 0:
-            return UNBOUNDED, pivots, D
-        D = _pivot(cols, basis, leaving, entering, alpha, D, w, g, width, best_a)
+            return UNBOUNDED, pivots, D, False
+        if pivots == cap:
+            raise InternalVerificationFailed(f"the simplex made {cap} pivots without an optimum")
+        D = _pivot(cols, basis, leaving, entering, alpha, D, w, best, width, best_a)
         pivots += 1
+        # After a degenerate pivot the hybrid rule takes Bland's column.
+        bland = not (dantzig and best_t)
 
 
 def _pivot(cols, basis, r, c, alpha, D, w, g, width, p):

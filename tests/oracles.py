@@ -15,7 +15,11 @@ E = D·B⁻¹ as one list of ints per row, updated entry by entry, with the
 bound shift, both phases and artificial expulsion. core_solve_lp puts a
 "<=" problem with a nonnegative rhs through the package's simplex,
 ceub.simplex._solve; it must take fraction_solve_lp's pivots and return
-row_solve_lp's LpSolution, pivots and bits included.
+row_solve_lp's LpSolution, pivots and bits included. All three take a
+pivot rule: BLAND, the default, or HYBRID, the package's rule (Dantzig's
+column, Bland's after a degenerate pivot), whose optimum is kept only
+when every nonbasic reduced cost is negative, with a Bland run from the
+start otherwise.
 maxmin_geq_program is the max-min LP with its agent rows written as
 ">= 0", which needs phase 1. maxmin_program is the "<= 0" max-min LP as
 an LpProblem, and lp_maxmin is maxmin_lp as it stood before it handed
@@ -62,7 +66,7 @@ No test_ prefix, so pytest does not collect this module.
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 from math import lcm
 
@@ -114,6 +118,11 @@ GREATER = ">="
 _RELATIONS = (LESS, EQUAL, GREATER)
 _FLIP = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}
 
+# The pivot rules: Bland's throughout, or the hybrid rule of
+# ceub.simplex, kept when its optimum is certified unique.
+BLAND = "bland"
+HYBRID = "hybrid"
+
 INFEASIBLE = "infeasible"
 
 
@@ -140,8 +149,9 @@ class LpSolution:
     status: str
     x: tuple | None
     objective_value: Rational | None
-    pivots: tuple = (0, 0)  # phase-1 and phase-2 pivot counts
+    pivots: tuple = (0, 0)  # phase-1 and phase-2 pivot counts of the Bland run
     bits: int = 0  # bit length of the largest int in the final E and D
+    hybrid: int = 0  # pivots of the hybrid rule's run, both phases together
 
 
 def make_problem(objective, rows, lower=None, upper=None) -> LpProblem:
@@ -185,12 +195,12 @@ def _integral(values):
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def core_solve_lp(problem: LpProblem) -> LpSolution:
-    """problem through the package's simplex, ceub.simplex._solve. It
-    must be a "<=" program with a nonnegative rhs and zero lower bounds.
-    Upper bounds become rows after the problem's own, as in
-    row_solve_lp, and each row is scaled to ints by the lcm of its
-    denominators. The pivots are (0, k): there is no phase 1."""
+def core_solve_lp(problem: LpProblem, rule=BLAND) -> LpSolution:
+    """problem through the package's simplex, ceub.simplex._solve, under
+    rule. It must be a "<=" program with a nonnegative rhs and zero
+    lower bounds. Upper bounds become rows after the problem's own, as
+    in row_solve_lp, and each row is scaled to ints by the lcm of its
+    denominators. The Bland pivots are (0, k): there is no phase 1."""
     n = problem.var_count
     assert all(relation == LESS for _, relation, _ in problem.rows), "the core takes <= rows"
     assert not any(problem.lower), "the core takes zero lower bounds"
@@ -208,16 +218,18 @@ def core_solve_lp(problem: LpProblem) -> LpSolution:
                 columns[j].append((r, v))
         b.append(ints[-1])
     cost, _ = _integral(problem.objective)
-    status, pivots, basis, levels, D, cols, width = simplex._solve(columns, b, cost)
+    status, (hybrid, pivots), basis, levels, D, cols, width = simplex._solve(
+        columns, b, cost, rule == BLAND
+    )
     bits = simplex._read_off(cols, len(basis), width, D)
     if status != OPTIMAL:
-        return LpSolution(status, None, None, (0, pivots), bits)
+        return LpSolution(status, None, None, (0, pivots), bits, hybrid)
     x = [ZERO] * n
     for bv, level in zip(basis, levels):
         if bv < n:
             x[bv] = Rational(level, D)
     value = sum((c * z for c, z in zip(problem.objective, x) if c != 0), ZERO)
-    return LpSolution(OPTIMAL, tuple(x), value, (0, pivots), bits)
+    return LpSolution(OPTIMAL, tuple(x), value, (0, pivots), bits, hybrid)
 
 
 def gauss_solve(rows, rhs):
@@ -482,12 +494,13 @@ def maxmin_program(inst) -> LpProblem:
     return LpProblem(tuple(objective), tuple(rows), tuple(zeros), (None,) * (lam_var + 1))
 
 
-def lp_maxmin(inst):
+def lp_maxmin(inst, rule=BLAND):
     """maxmin_lp as it stood before it reached the simplex's integer
     core directly: the Rational door on maxmin_program, which row_solve_lp
-    keeps, then rational_settle. Returns (MaxMinResult, LpSolution)."""
+    keeps, under rule, then rational_settle. Returns (MaxMinResult,
+    LpSolution)."""
     n, m = inst.agent_count, inst.item_count
-    solution = row_solve_lp(maxmin_program(inst))
+    solution = row_solve_lp(maxmin_program(inst), rule)
     if solution.status != OPTIMAL:
         raise InternalVerificationFailed(f"max-min program {solution.status}")
     lam = solution.x[n * m]
@@ -513,12 +526,29 @@ def rational_settle(inst, shares, lam) -> Allocation:
     return alloc
 
 
-def fraction_solve_lp(problem: LpProblem) -> LpSolution:
+def fraction_solve_lp(problem: LpProblem, rule=BLAND) -> LpSolution:
     """The exact two-phase simplex with Bland's rule on a tableau of
     Rationals, as the package's simplex ran before its integer rewrite;
-    the reference that every other simplex here must pivot like."""
+    the reference that every other simplex here must pivot like.
+
+    Under rule HYBRID it first runs the hybrid rule of ceub.simplex in
+    both phases and keeps its optimum if every nonbasic column has a
+    strictly negative reduced cost; otherwise it runs Bland's rule from
+    the start. The int simplexes hold a slack, surplus or artificial of
+    row r as s_r times the Rational one, where s_r is the lcm of the
+    row's denominators, so that Dantzig's comparison takes each such
+    column's reduced cost over s_r."""
     if not isinstance(problem, LpProblem):
         raise MalformedProblem(f"not an LpProblem: {type(problem).__name__}")
+    if rule == HYBRID:
+        solution, unique = _fraction_run(problem, True)
+        if unique:
+            return solution
+    return _fraction_run(problem, False)[0]
+
+
+def _fraction_run(problem, dantzig):
+    """One run of fraction_solve_lp: (LpSolution, unique)."""
     n = problem.var_count
 
     # Shift variables to x' = x - lower >= 0 and collect working rows.
@@ -557,6 +587,13 @@ def fraction_solve_lp(problem: LpProblem) -> LpSolution:
             art_of_row[r] = col
             col += 1
     total = col
+    unit = [ONE] * total
+    for r, (coeffs, _, rhs) in enumerate(work):
+        scale = lcm(*(v.denominator for v in (*coeffs, rhs)))
+        for k in (slack_of_row[r], art_of_row[r]):
+            if k is not None:
+                unit[k] = Rational(1, scale)
+    unit = unit if dantzig else None
 
     # Tableau rows carry the rhs in the final position.
     tableau = []
@@ -585,14 +622,14 @@ def fraction_solve_lp(problem: LpProblem) -> LpSolution:
                         obj[k] += row[k]
         for a in range(art_start, total):
             obj[a] = ZERO
-        status = _fraction_iterate(tableau, basis, obj, total, allow=total)
+        status, _ = _fraction_iterate(tableau, basis, obj, total, total, unit)
         if status == UNBOUNDED:  # cannot happen: phase-1 objective is bounded by 0
             raise MalformedProblem("phase-1 objective unbounded; solver invariant broken")
         infeasibility = sum(
             (tableau[r][total] for r in range(len(basis)) if basis[r] >= art_start), ZERO
         )
         if infeasibility != 0:
-            return LpSolution(INFEASIBLE, None, None)
+            return LpSolution(INFEASIBLE, None, None), False
         _fraction_expel_artificials(tableau, basis, art_start, total)
 
     # ------------------------------------------------------------------
@@ -609,33 +646,45 @@ def fraction_solve_lp(problem: LpProblem) -> LpSolution:
             for k in range(total + 1):
                 if row[k] != 0:
                     obj[k] -= coef * row[k]
-    status = _fraction_iterate(tableau, basis, obj, total, allow=art_start)
+    status, unique = _fraction_iterate(tableau, basis, obj, total, art_start, unit)
     if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED, None, None)
+        return LpSolution(UNBOUNDED, None, None), False
 
     shifted = [ZERO] * total
     for r, bv in enumerate(basis):
         shifted[bv] = tableau[r][total]
     x = tuple(shifted[j] + problem.lower[j] for j in range(n))
     value = sum((c * x[j] for j, c in enumerate(problem.objective) if c != 0), ZERO)
-    return LpSolution(OPTIMAL, x, value)
+    return LpSolution(OPTIMAL, x, value), unique
 
 
-def _fraction_iterate(tableau, basis, obj, total, allow):
-    """Run simplex pivots until optimal or unbounded.
+def _fraction_iterate(tableau, basis, obj, total, allow, unit):
+    """Run simplex pivots until optimal or unbounded; (status, unique).
 
     `allow` bounds the entering-column search: columns >= allow (the
-    artificials in phase 2) are never eligible.
+    artificials in phase 2) are never eligible. With unit None, Bland's
+    rule throughout. Otherwise the hybrid rule: the largest reduced cost
+    times unit[j], ties to the lowest index, and Bland's column after a
+    degenerate pivot; unique is whether its optimum has a strictly
+    negative reduced cost in every nonbasic column.
     """
     m = len(tableau)
+    bland = unit is None
     while True:
         entering = -1
+        key = zeros = 0
         for j in range(allow):
             if obj[j] > 0:
-                entering = j  # Bland: lowest eligible index
-                break
+                if bland:
+                    entering = j  # Bland: lowest eligible index
+                    break
+                scaled = obj[j] * unit[j]
+                if scaled > key:
+                    key, entering = scaled, j
+            elif obj[j] == 0:
+                zeros += 1
         if entering < 0:
-            return OPTIMAL
+            return OPTIMAL, unit is not None and zeros == len(basis)
         leaving = -1
         best = None
         for r in range(m):
@@ -646,8 +695,9 @@ def _fraction_iterate(tableau, basis, obj, total, allow):
                     best = ratio
                     leaving = r
         if leaving < 0:
-            return UNBOUNDED
+            return UNBOUNDED, False
         _fraction_pivot(tableau, basis, obj, leaving, entering, total)
+        bland = unit is None or best == 0
 
 
 def _fraction_pivot(tableau, basis, obj, r, c, total):
@@ -692,13 +742,26 @@ def _fraction_expel_artificials(tableau, basis, art_start, total):
         r += 1
 
 
-def row_solve_lp(problem: LpProblem) -> LpSolution:
+def row_solve_lp(problem: LpProblem, rule=BLAND) -> LpSolution:
     """The exact two-phase revised simplex with Bland's rule, with
     E = D·B⁻¹ held as one int row per constraint, as the package's
     Rational door ran before its columns were packed into ints and its
-    phase 1 was removed; the differential oracle for both changes."""
+    phase 1 was removed; the differential oracle for both changes.
+    Under rule HYBRID it first runs the hybrid rule in both phases, as
+    fraction_solve_lp does, and counts that run's pivots in hybrid."""
     if not isinstance(problem, LpProblem):
         raise MalformedProblem(f"not an LpProblem: {type(problem).__name__}")
+    if rule == BLAND:
+        return _row_run(problem, False)[0]
+    solution, unique = _row_run(problem, True)
+    hybrid = sum(solution.pivots)
+    if unique:
+        return replace(solution, pivots=(0, 0), hybrid=hybrid)
+    return replace(_row_run(problem, False)[0], hybrid=hybrid)
+
+
+def _row_run(problem, dantzig):
+    """One run of row_solve_lp: (LpSolution, unique)."""
     n = problem.var_count
 
     # Shift variables to x' = x - lower >= 0 and collect working rows as
@@ -761,12 +824,12 @@ def row_solve_lp(problem: LpProblem) -> LpSolution:
             if basis[r] >= art_start:
                 cost[basis[r]] = -(common // scales[r])
         w = [-cost[bv] for bv in basis]
-        status, phase1, D = _row_iterate(E, basis, columns, cost, w, D, total)
+        status, phase1, D, _ = _row_iterate(E, basis, columns, cost, w, D, total, dantzig)
         if status == UNBOUNDED:  # cannot happen: phase-1 objective is bounded by 0
             raise MalformedProblem("phase-1 objective unbounded; solver invariant broken")
         # Basic levels are nonnegative, so their sum is zero only if each is.
         if any(E[r][m] != 0 for r in range(m) if basis[r] >= art_start):
-            return LpSolution(INFEASIBLE, None, None, (phase1, 0), _row_bits(E, D))
+            return LpSolution(INFEASIBLE, None, None, (phase1, 0), _row_bits(E, D)), False
         D = _row_expel_artificials(E, basis, columns, D, art_start)
 
     # ------------------------------------------------------------------
@@ -779,10 +842,10 @@ def row_solve_lp(problem: LpProblem) -> LpSolution:
     for r, bv in enumerate(basis):
         if cost[bv] != 0:
             w = [v - cost[bv] * e for v, e in zip(w, E[r])]
-    status, phase2, D = _row_iterate(E, basis, columns, cost, w, D, art_start)
+    status, phase2, D, unique = _row_iterate(E, basis, columns, cost, w, D, art_start, dantzig)
     pivots = (phase1, phase2)
     if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED, None, None, pivots, _row_bits(E, D))
+        return LpSolution(UNBOUNDED, None, None, pivots, _row_bits(E, D)), False
 
     shifted = [ZERO] * total
     for r, bv in enumerate(basis):
@@ -791,7 +854,7 @@ def row_solve_lp(problem: LpProblem) -> LpSolution:
         shifted[j] += low
     x = tuple(shifted[:n])
     value = sum((c * x[j] for j, c in enumerate(problem.objective) if c != 0), ZERO)
-    return LpSolution(OPTIMAL, x, value, pivots, _row_bits(E, D))
+    return LpSolution(OPTIMAL, x, value, pivots, _row_bits(E, D)), unique
 
 
 def _row_bits(E, D):
@@ -807,8 +870,10 @@ def _row_column(E, column):
     return alpha
 
 
-def _row_iterate(E, basis, columns, cost, w, D, allow):
-    """Run simplex pivots until optimal or unbounded; (status, pivots, D).
+def _row_iterate(E, basis, columns, cost, w, D, allow, dantzig):
+    """Run simplex pivots until optimal or unbounded; (status, pivots,
+    D, unique), with Bland's rule or, with dantzig, the hybrid rule, as
+    ceub.simplex._iterate runs them.
 
     `allow` bounds the entering-column search: columns >= allow (the
     artificials in phase 2) are never eligible. A row's ratio rhs/a
@@ -817,15 +882,21 @@ def _row_iterate(E, basis, columns, cost, w, D, allow):
     m = len(w)
     priced = list(zip(range(allow), columns, cost))
     pivots = 0
+    bland = not dantzig
     while True:
-        for entering, column, c in priced:  # Bland: lowest eligible index
-            g = D * c
+        g = zeros = 0
+        for j, column, c in priced:
+            d = D * c
             for r, v in column:
-                g += w[r] * v
-            if g > 0:
-                break
-        else:
-            return OPTIMAL, pivots, D
+                d += w[r] * v
+            if d > g:
+                g, entering = d, j
+                if bland:  # Bland: lowest eligible index
+                    break
+            elif d == 0:
+                zeros += 1
+        if g == 0:
+            return OPTIMAL, pivots, D, dantzig and zeros == len(basis)
         alpha = _row_column(E, columns[entering])
         leaving = -1
         for r, a in enumerate(alpha):
@@ -838,9 +909,10 @@ def _row_iterate(E, basis, columns, cost, w, D, allow):
                 if left < right or (left == right and basis[r] < basis[leaving]):
                     best_t, best_a, leaving = t, a, r
         if leaving < 0:
-            return UNBOUNDED, pivots, D
+            return UNBOUNDED, pivots, D, False
         D = _row_pivot(E, basis, leaving, entering, alpha, D, w, g)
         pivots += 1
+        bland = not (dantzig and best_t)
 
 
 def _row_pivot(E, basis, r, c, alpha, D, w, g):

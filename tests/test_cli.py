@@ -9,6 +9,7 @@ the same wrapper an installer writes, so no install is needed.
 import json
 import logging
 import os
+import random
 import re
 import subprocess
 import sys
@@ -147,6 +148,35 @@ def test_verify_accepts_price_output(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "agent 0" in out and "agent 1" in out
     assert "equilibrium verified" in out
+
+
+def test_price_then_verify_rationals_beyond_the_str_limit(tmp_path, capsys, monkeypatch):
+    # 3000-digit numerators and denominators: loading is within Python's
+    # default limit of 4300 digits for int <-> str, but the prices and
+    # budgets, and the max-min lambda, are longer than that limit.
+    rng = random.Random(3000)
+
+    def big():
+        return rng.randrange(10**2999, 10**3000)
+
+    values = [[rat(big(), big()) for _ in range(2)] for _ in range(2)]
+    if values[1][0] * values[0][1] < values[0][0] * values[1][1]:
+        values.reverse()  # agent 1, who holds only item 0, values it relatively more
+    instance = tmp_path / "big.instance.json"
+    allocation = tmp_path / "big.allocation.json"
+    eq = tmp_path / "eq.json"
+    instance.write_text(dump_instance(validate_instance(values)), encoding="utf-8")
+    y = make_allocation([[rat(1, 2), 1], [rat(1, 2), 0]])
+    allocation.write_text(dump_allocation(y), encoding="utf-8")
+    assert main(["price", str(instance), str(allocation), "-o", str(eq)]) == 0
+    assert max(map(len, re.findall("[0-9]+", eq.read_text(encoding="utf-8")))) > 4300
+    capsys.readouterr()
+    assert main(["verify", str(instance), str(allocation), str(eq)]) == 0
+    assert "equilibrium verified" in capsys.readouterr().out
+    monkeypatch.setenv("CEUB_LOG", "info")
+    assert main(["maxmin", str(instance), "-o", str(tmp_path / "mm.json")]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("INFO ceub.maxmin: max-min LP 2x2") and "Traceback" not in err
 
 
 def test_verify_names_agent_with_edited_budget(tmp_path, capsys):
@@ -341,7 +371,10 @@ def test_info_logging_reports_the_maxmin_lp(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CEUB_LOG", "info")
     assert main(["maxmin", instance, "-o", str(tmp_path / "o.json")]) == 0
     err = capsys.readouterr().err
-    assert err == "INFO ceub.maxmin: max-min LP 2x1: 3 rows, 3 columns, pivots 0+3, 7 bits, lambda=99/100\n"
+    assert err == (
+        "INFO ceub.maxmin: max-min LP 2x1: 3 rows, 3 columns,"
+        " pivots 3 hybrid + 0 Bland, 7 bits, lambda=99/100\n"
+    )
 
 
 def test_logging_is_set_per_call_on_one_handler(tmp_path, capsys, monkeypatch):
@@ -349,7 +382,10 @@ def test_logging_is_set_per_call_on_one_handler(tmp_path, capsys, monkeypatch):
     # the root logger keeps exactly one handler, on the current stderr.
     instance, _ = write_toy(tmp_path)
     out = str(tmp_path / "o.json")
-    line = "INFO ceub.maxmin: max-min LP 2x1: 3 rows, 3 columns, pivots 0+3, 7 bits, lambda=99/100\n"
+    line = (
+        "INFO ceub.maxmin: max-min LP 2x1: 3 rows, 3 columns,"
+        " pivots 3 hybrid + 0 Bland, 7 bits, lambda=99/100\n"
+    )
     handlers = []
     for level, expected in (("info", line), ("quiet", ""), ("info", line)):
         monkeypatch.setenv("CEUB_LOG", level)
@@ -440,14 +476,16 @@ def test_backend_is_not_read_from_the_environment(tmp_path):
 BIG = "9" * 5000
 RATIONAL = r'"(-?[0-9]+)(/[0-9]+)?"'
 
-# Each rewrites the canonical text of a valid document; Python's limit on
-# the digits of an int (4300 by default) makes 5000-digit numbers errors.
+# Each rewrites the canonical text of a valid document. Python's limit on
+# the digits of an int (4300 by default) makes a 5000-digit count an
+# error; a rational literal of any length is read, so the 5000-digit one
+# is malformed by its zero denominator.
 MALFORMED = {
     "deep nesting": lambda text: "[" * 100_000,
     "deep nesting in a field": lambda text: re.sub(r"[0-9]+,.*", "[" * 100_000, text, flags=re.S),
     "invalid UTF-8": lambda text: text.encode().replace(b"ceub", b"\xffceub"),
     "5000-digit count": lambda text: re.sub(r'"agents": [0-9]+', '"agents": ' + BIG, text),
-    "5000-digit rational": lambda text: re.sub(RATIONAL, f'"{BIG}"', text, count=1),
+    "5000-digit rational": lambda text: re.sub(RATIONAL, f'"{BIG}/0"', text, count=1),
     "root is a list": lambda text: f"[{text}]",
     "count is a string": lambda text: re.sub(r'"agents": ([0-9]+)', r'"agents": "\1"', text),
     "count is a boolean": lambda text: re.sub(r'"agents": [0-9]+', '"agents": true', text),

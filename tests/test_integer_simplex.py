@@ -5,15 +5,17 @@ ceub.simplex._solve is a revised simplex on packed ints (D·B⁻¹ and the
 duals) for "<=" rows with a nonnegative rhs; oracles.core_solve_lp puts
 an LpProblem of that form through it. tests/oracles.py keeps the
 Rational tableau as fraction_solve_lp, and the two-phase simplex with
-one int list per row of D·B⁻¹ as row_solve_lp. All three follow Bland's
-rule, so they must make the same pivots, (leaving, entering) variable
-for variable. core_solve_lp must take fraction_solve_lp's pivot path
-and return row_solve_lp's LpSolution exactly, pivot counts and bits
-included: on drawn "<=" problems (degenerate ties from {0, +-1, +-1/2},
-unbounded ones, repeated rows), on every max-min program up to 8 agents
-by 8 items, and on max-min programs whose fields are wider than 64 and
-than 128 bits. The general draws (EQUAL rows, repeated rows at negative
-scales, negative right-hand sides, lower and upper bounds) and three
+one int list per row of D·B⁻¹ as row_solve_lp. All three take Bland's
+rule and the hybrid rule, with its certificate and Bland re-solve, so
+under either rule they must make the same pivots, (leaving, entering)
+variable for variable, and end at Bland's vertex. core_solve_lp must
+take fraction_solve_lp's pivot path and return row_solve_lp's
+LpSolution exactly, pivot counts and bits included: on drawn "<="
+problems (degenerate ties from {0, +-1, +-1/2}, unbounded ones,
+repeated rows), on every max-min program up to 8 agents by 8 items, and
+on max-min programs whose fields are wider than 64 and than 128 bits.
+The general draws (EQUAL rows, repeated rows at negative scales,
+negative right-hand sides, lower and upper bounds) and three
 wide problems that need phase 1, an expulsion on a negative pivot or the
 deletion of redundant rows compare row_solve_lp with fraction_solve_lp
 the same way. maxmin_lp writes its agent rows as "<= 0", which needs no
@@ -23,9 +25,11 @@ program.
 maxmin_lp builds its int columns from the instance and hands them to
 the simplex without an LpProblem; tests/oracles.py keeps the route it
 replaced as lp_maxmin (the Rational door, row_solve_lp, on
-maxmin_program, then a settle check on Rationals). The two must make the
-same pivots and return the same result and info line on every shape up
-to 8 by 8 and on values whose fields are wider than 64 bits."""
+maxmin_program, then a settle check on Rationals). With either rule
+first, the two must make the same pivots and return the same result and
+info line on every shape up to 8 by 8 and on values whose fields are
+wider than 64 bits, and the result must be the one maxmin_lp returns on
+its own choice of rule."""
 
 import logging
 from contextlib import contextmanager
@@ -38,7 +42,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ceub import simplex
+from ceub import maxmin, simplex
 from ceub.generators import GenConfig, gen_instance, gen_structured_instance
 from ceub.maxmin import maxmin_lp
 from ceub.market import validate_instance
@@ -46,8 +50,10 @@ from ceub.rationals import rat
 
 import oracles
 from oracles import (
+    BLAND,
     EQUAL,
     GREATER,
+    HYBRID,
     LESS,
     OPTIMAL,
     core_solve_lp,
@@ -59,6 +65,7 @@ from oracles import (
     row_solve_lp,
 )
 
+RULES = (BLAND, HYBRID)
 TIES = tuple(rat(v) for v in ("0", "1", "-1", "1/2", "-1/2"))
 WIDE = TIES + tuple(rat(v) for v in ("2", "-3", "5/3", "-7/4"))
 RELATIONS = (LESS, EQUAL, GREATER)
@@ -126,28 +133,46 @@ def pivot_path(module, name, row_arg):
         yield path
 
 
-def assert_pivots_like_the_fraction_simplex(solve, module, pivot, problem):
-    """solve(problem), whose pivot function is module.pivot, makes
-    fraction_solve_lp's pivots and agrees with it on status, x and
-    objective value. Returns solve's LpSolution."""
+def result(solution):
+    return solution.status, solution.x, solution.objective_value
+
+
+def assert_pivots_like_the_fraction_simplex(solve, module, pivot, problem, rule):
+    """solve(problem, rule), whose pivot function is module.pivot, makes
+    fraction_solve_lp's pivots under rule, a hybrid attempt and a Bland
+    run alike, and agrees with it on status, x and objective value.
+    Returns solve's LpSolution."""
     with pivot_path(module, pivot, 2) as new_path:
-        new = solve(problem)
+        new = solve(problem, rule)
     with pivot_path(oracles, "_fraction_pivot", 3) as old_path:
-        old = fraction_solve_lp(problem)
+        old = fraction_solve_lp(problem, rule)
     assert new_path == old_path
-    assert (new.status, new.x, new.objective_value) == (old.status, old.x, old.objective_value)
+    assert result(new) == result(old)
     return new
 
 
 def assert_core_run(problem):
-    """The package's simplex takes fraction_solve_lp's pivots and returns
-    row_solve_lp's LpSolution, pivot counts and bits included."""
-    solution = assert_pivots_like_the_fraction_simplex(core_solve_lp, simplex, "_pivot", problem)
-    assert solution == row_solve_lp(problem)
+    """Under either rule, the package's simplex takes fraction_solve_lp's
+    pivots and returns row_solve_lp's LpSolution, pivot counts and bits
+    included; its status, x and value are those of Bland's rule."""
+    results = set()
+    for rule in RULES:
+        solution = assert_pivots_like_the_fraction_simplex(
+            core_solve_lp, simplex, "_pivot", problem, rule
+        )
+        assert solution == row_solve_lp(problem, rule)
+        results.add(result(solution))
+    assert len(results) == 1
 
 
 def assert_row_run(problem):
-    assert_pivots_like_the_fraction_simplex(row_solve_lp, oracles, "_row_pivot", problem)
+    results = set()
+    for rule in RULES:
+        solution = assert_pivots_like_the_fraction_simplex(
+            row_solve_lp, oracles, "_row_pivot", problem, rule
+        )
+        results.add(result(solution))
+    assert len(results) == 1
 
 
 def in_core_form(problem):
@@ -325,25 +350,42 @@ def test_wide_problems_need_wide_fields():
 # ------------------------------------------------- the max-min integer door
 
 
+@contextmanager
+def first_rule(rule):
+    """maxmin_lp with rule first, whatever its values."""
+    with patch.object(maxmin, "_structured", lambda weights: rule == BLAND):
+        yield
+
+
 def assert_same_maxmin(inst, caplog):
     """maxmin_lp, from inst.values to the package's simplex, against the
     Rational door (row_solve_lp) on the reference program and the
-    Rational settle: the same pivots, result and info line, and the
-    field width core_solve_lp takes on the reference program."""
+    Rational settle, with either rule first: the same pivots, result
+    and info line, and the field width core_solve_lp takes on the
+    reference program. The result is the one maxmin_lp returns on its
+    own choice of rule."""
     n, m = inst.agent_count, inst.item_count
-    caplog.clear()
-    with pivot_path(simplex, "_pivot", 2) as new_path, caplog.at_level(logging.INFO, "ceub.maxmin"):
-        new = maxmin_lp(inst)
-    with pivot_path(oracles, "_row_pivot", 2) as old_path:
-        old, solution = lp_maxmin(inst)
-    assert new_path and new_path == old_path
-    assert new == old
-    assert field_widths(maxmin_lp, inst) == field_widths(core_solve_lp, maxmin_program(inst))
-    assert [r.getMessage() for r in caplog.records if r.name == "ceub.maxmin"] == [
-        f"max-min LP {n}x{m}: {n + m} rows, {n * m + 1} columns,"
-        f" pivots {solution.pivots[0]}+{solution.pivots[1]}, {solution.bits} bits,"
-        f" lambda={old.lam}"
-    ]
+    default = maxmin_lp(inst)
+    for rule in RULES:
+        caplog.clear()
+        with (
+            first_rule(rule),
+            pivot_path(simplex, "_pivot", 2) as new_path,
+            caplog.at_level(logging.INFO, "ceub.maxmin"),
+        ):
+            new = maxmin_lp(inst)
+        with pivot_path(oracles, "_row_pivot", 2) as old_path:
+            old, solution = lp_maxmin(inst, rule)
+        assert new_path and new_path == old_path
+        assert new == old == default
+        with first_rule(rule):
+            widths = field_widths(maxmin_lp, inst)
+        assert widths == field_widths(lambda p: core_solve_lp(p, rule), maxmin_program(inst))
+        assert [r.getMessage() for r in caplog.records if r.name == "ceub.maxmin"] == [
+            f"max-min LP {n}x{m}: {n + m} rows, {n * m + 1} columns,"
+            f" pivots {solution.hybrid} hybrid + {solution.pivots[1]} Bland,"
+            f" {solution.bits} bits, lambda={old.lam}"
+        ]
 
 
 @pytest.mark.parametrize("generator", (gen_instance, gen_structured_instance))

@@ -77,12 +77,14 @@ def test_lp_output_is_settled():
 
 
 def test_lp_logs_one_info_line(caplog):
-    # The "<=" agent rows make the all-slack basis feasible: no phase-1 pivots.
+    # The agents disagree on the items' relative worth, so the hybrid rule
+    # goes first, and its optimum is certified unique: no Bland pivots.
+    # Bland's rule alone takes 6 pivots here.
     inst = validate_instance([[3, 1], [1, 3]])
     with caplog.at_level(logging.INFO, logger="ceub.maxmin"):
         maxmin_lp(inst)
     assert [r.getMessage() for r in caplog.records if r.name == "ceub.maxmin"] == [
-        "max-min LP 2x2: 4 rows, 5 columns, pivots 0+6, 4 bits, lambda=3"
+        "max-min LP 2x2: 4 rows, 5 columns, pivots 5 hybrid + 0 Bland, 4 bits, lambda=3"
     ]
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="ceub.maxmin"):

@@ -61,6 +61,22 @@ def test_format_parse_round_trip_random():
         assert parse_rational(format_rational(value)) == value
 
 
+def test_literals_beyond_the_str_limit_round_trip():
+    # Python converts ints of at most 4300 digits to and from str by
+    # default; a 4301-digit literal, and its negative over a 4301-digit
+    # denominator, still round-trip exactly.
+    rng = random.Random(4301)
+    num = rng.randrange(10**4300, 10**4301)
+    den = rng.randrange(10**4300, 10**4301) | 1
+    for value in (Rational(num), Rational(-num, den), Rational(den, 10**4300)):
+        text = format_rational(value)
+        assert parse_rational(text) == value
+        assert format_rational(parse_rational(text)) == text
+    literal = format_rational(Rational(num))
+    assert len(literal) == 4301
+    assert int(literal[:600]) == num // 10**3701 and int(literal[-600:]) == num % 10**600
+
+
 def test_rat_coercions():
     assert rat(3) == 3
     assert rat(1, 2) * 2 == 1
