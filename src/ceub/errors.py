@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from .rationals import format_rational
+
 
 class CeubError(Exception):
     """Base class for every package-specific error."""
@@ -16,7 +18,7 @@ class NonPositiveValuation(CeubError):
         self.agent = agent
         self.item = item
         self.value = value
-        detail = "" if value is None else f" (got {value})"
+        detail = "" if value is None else f" (got {format_rational(value)})"
         super().__init__(f"valuation for agent {agent}, item {item} must be > 0{detail}")
 
 

@@ -107,7 +107,7 @@ def _parse_matrix(node, path: str, rows: int, cols: int, literals: _Literals) ->
 def _decode(text: str, schema: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an int longer than Python converts
         raise SchemaError(f"not valid JSON: {e}") from None
     except RecursionError:
         raise SchemaError("JSON nested too deeply") from None

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import InternalVerificationFailed, NotParetoOptimal
 from .market import Allocation, AllocationGraph, Instance, _check_dims, build_graph
-from .rationals import ONE, Rational
+from .rationals import ONE, Rational, format_rational
 
 log = logging.getLogger(__name__)
 
@@ -143,7 +143,7 @@ def eliminate_cycle(inst: Instance, alloc: Allocation, cycle: SimpleCycle):
     if ratio != 1:
         direction = "forward" if ratio > 1 else "reverse"
         raise NotParetoOptimal(
-            f"cycle closes with ratio {ratio}; the {direction} traversal strictly "
+            f"cycle closes with ratio {format_rational(ratio)}; the {direction} traversal strictly "
             f"improves agent {agents[0]} while keeping all others whole"
         )
 
@@ -171,7 +171,9 @@ def eliminate_cycle(inst: Instance, alloc: Allocation, cycle: SimpleCycle):
         for a, delta in ((agents[t], epsilons[t]), (agents[(t + 1) % k], -epsilons[t])):
             share = rows[a][j] + delta
             if share < 0 or share > 1:
-                raise InternalVerificationFailed(f"cycle shift moved x[{a}][{j}] to {share}")
+                raise InternalVerificationFailed(
+                    f"cycle shift moved x[{a}][{j}] to {format_rational(share)}"
+                )
             rows[a][j] = share
     result = Allocation(tuple(map(tuple, rows)))
     zeroed = (agents[(zero_at + 1) % k], items[zero_at])

@@ -39,7 +39,7 @@ from .errors import (
     NonPositiveValuation,
     ZeroPrice,
 )
-from .rationals import ONE, ZERO, Rational, rat
+from .rationals import ONE, ZERO, Rational, format_rational, rat
 
 log = logging.getLogger(__name__)
 
@@ -57,6 +57,15 @@ class Instance:
     @property
     def item_count(self) -> int:
         return len(self.values[0])
+
+    @cached_property
+    def scaled(self) -> tuple:
+        """(rows, scales): each agent's values as ints over s_i, the lcm
+        of their denominators, so rows[i][j] = v_ij * s_i and scales[i] =
+        s_i. Built on first use and kept, like Allocation.graph, so eq,
+        hash and repr ignore it."""
+        rows, scales = zip(*map(_over_common_denominator, self.values))
+        return tuple(map(tuple, rows)), scales
 
 
 @dataclass(frozen=True)
@@ -218,12 +227,14 @@ def make_allocation(raw_shares) -> Allocation:
         for j, v in enumerate(row):
             num = v.numerator
             if num < 0 or num > v.denominator:
-                raise DimensionMismatch(f"share x[{i}][{j}] = {v} outside [0, 1]")
+                raise DimensionMismatch(f"share x[{i}][{j}] = {format_rational(v)} outside [0, 1]")
     alloc = Allocation(tuple(rows))
     for j in range(width):
         total = alloc.column_sum(j)
         if total > 1:
-            raise DimensionMismatch(f"item {j} is over-allocated: column sum {total} > 1")
+            raise DimensionMismatch(
+                f"item {j} is over-allocated: column sum {format_rational(total)} > 1"
+            )
     return alloc
 
 
@@ -277,7 +288,7 @@ def _check_prices(prices) -> tuple:
 
 def _check_budget(budget: Rational) -> None:
     if budget.numerator < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
+        raise ValueError(f"budget must be nonnegative, got {format_rational(budget)}")
 
 
 def max_affordable_utility(inst: Instance, prices, budget: Rational, i: int) -> Rational:
@@ -331,8 +342,8 @@ def _demand_report(inst: Instance, prices, units, budget, i: int, bundle, suppor
     """
     costs, unit = units  # p[j] * unit
     weights, den = _over_common_denominator([bundle[j] for j in support])  # x[i][j] * den
-    row = inst.values[i]
-    worth, vunit = _over_common_denominator(row)  # v[i][j] * vunit
+    rows, scales = inst.scaled
+    worth, vunit = rows[i], scales[i]  # v[i][j] * vunit
     spent = sum(w * costs[j] for w, j in zip(weights, support))
     spend = Rational(spent, den * unit)
     achieved = Rational(sum(w * worth[j] for w, j in zip(weights, support)), den * vunit)
@@ -341,9 +352,9 @@ def _demand_report(inst: Instance, prices, units, budget, i: int, bundle, suppor
     in_box = all(0 < w <= den for w in weights)
     demanded = False
     if in_box and over < 0:
-        demanded = len(support) == len(row) and all(w == den for w in weights)
+        demanded = len(support) == len(worth) and all(w == den for w in weights)
     elif in_box and over == 0:
-        whole = [False] * len(row)
+        whole = [False] * len(worth)
         low = None  # the held item of least v/p
         for w, j in zip(weights, support):
             whole[j] = w == den
@@ -351,7 +362,7 @@ def _demand_report(inst: Instance, prices, units, budget, i: int, bundle, suppor
                 low = j
         # With nothing held, the budget is zero and nothing else is affordable.
         demanded = low is None or all(
-            whole[j] or worth[j] * costs[low] <= worth[low] * costs[j] for j in range(len(row))
+            whole[j] or worth[j] * costs[low] <= worth[low] * costs[j] for j in range(len(worth))
         )
     if demanded:
         return DemandReport(i, achieved, achieved, spend, True)
@@ -359,7 +370,8 @@ def _demand_report(inst: Instance, prices, units, budget, i: int, bundle, suppor
     optimal = max_affordable_utility(inst, prices, budget, i)
     if in_box and over <= 0 and achieved == optimal:
         raise InternalVerificationFailed(
-            f"the greedy demands agent {i}'s bundle at utility {optimal}, the certificate does not"
+            f"the greedy demands agent {i}'s bundle at utility {format_rational(optimal)},"
+            " the certificate does not"
         )
     return DemandReport(i, achieved, optimal, spend, False)
 
@@ -502,7 +514,9 @@ def verify_pareto_optimal(inst: Instance, alloc: Allocation) -> ParetoVerdict:
             raise InternalVerificationFailed("certificate giver holds none of the item")
         ratio = ratio * inst.values[agents[t]][items[t]] / inst.values[giver][items[t]]
     if ratio <= 1:
-        raise InternalVerificationFailed(f"extracted cycle has ratio {ratio} <= 1")
+        raise InternalVerificationFailed(f"extracted cycle has ratio {format_rational(ratio)} <= 1")
     cert = TradingCycleCertificate(agents=agents, items=items, improvement_ratio=ratio)
-    log.debug("improving cycle found: agents=%s items=%s ratio=%s", agents, items, ratio)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("improving cycle found: agents=%s items=%s ratio=%s",
+                  agents, items, format_rational(ratio))
     return ParetoVerdict(ok=False, certificate=cert)

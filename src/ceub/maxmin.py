@@ -16,15 +16,20 @@ Three solvers:
   binary-search the one agent who splits across both items; O(log n)
   candidate evaluations after the sort, also emits checked prices/budgets.
 
-All three return only what the one settle check, _settle, has passed.
-It runs on ints: the shares and lambda over one common denominator D
-(for maxmin_lp the basis determinant of the simplex, whose levels it
-takes as they are; for the fast paths the lcm of their denominators),
-and each agent's values over s_i, the lcm of theirs. It requires every
-share in [0, D], every item's shares to sum to exactly D, and every
-agent's utility, scaled by s_i·D, to equal s_i times lambda's level;
-anything else raises InternalVerificationFailed. maxmin_lp builds its
-Rationals only after the check.
+maxmin_lp returns only what its settle check, _settle, has passed. It
+runs on ints: the shares and lambda over the basis determinant D of the
+simplex, whose levels it takes as they are, and each agent's values
+over s_i, the lcm of theirs (Instance.scaled). It requires every share
+in [0, D], every item's shares to sum to exactly D, and every agent's
+utility, scaled by s_i·D, to equal s_i times lambda's level; anything
+else raises InternalVerificationFailed. maxmin_lp builds its Rationals
+only after the check.
+
+The fast paths come with prices, so they end in one demand check
+instead, in _closed_form: with each budget the cost of its bundle, it
+requires every bundle demanded, every budget spent, every item sold
+exactly once and every agent at exactly lambda. A share outside [0, 1]
+is never demanded.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from .market import (
     Allocation,
     Instance,
     _dot,
-    _over_common_denominator,
     utility,
     verify_equilibrium,
     verify_pareto_optimal,
@@ -95,7 +99,7 @@ def maxmin_lp(inst: Instance) -> MaxMinResult:
 
     max lambda s.t. lambda - sum_j v_ij x_ij <= 0 for each agent i and
     sum_i x_ij <= 1 for each item j. The program goes to the simplex as
-    sparse int columns built from inst.values: agent row i is scaled by
+    sparse int columns built from inst.scaled: agent row i is scaled by
     s_i, the lcm of its value denominators, so x_ij is -v_ij*s_i in row
     i and 1 in item row j, and lambda is s_i in every agent row. The
     rhs is 0 in agent rows and 1 in item rows, so every row is "<=" with
@@ -110,7 +114,7 @@ def maxmin_lp(inst: Instance) -> MaxMinResult:
     """
     n, m = inst.agent_count, inst.item_count
     lam_var = n * m
-    weights, scales = _weights(inst)
+    weights, scales = inst.scaled
     columns = [[(i, -a), (n + j, 1)] for i, row in enumerate(weights) for j, a in enumerate(row)]
     columns.append(list(enumerate(scales)))
     cost = [0] * lam_var + [1]
@@ -139,23 +143,12 @@ def maxmin_lp(inst: Instance) -> MaxMinResult:
     return MaxMinResult(Allocation(tuple(map(tuple, rows))), lam)
 
 
-def _weights(inst: Instance):
-    """Each agent's values as ints over s_i, the lcm of their
-    denominators: (weights, scales) with weights[i][j] = v_ij * s_i."""
-    weights = []
-    scales = []
-    for row in inst.values:
-        ints, scale = _over_common_denominator(row)
-        weights.append(ints)
-        scales.append(scale)
-    return weights, scales
-
-
 def _structured(weights) -> bool:
     """Whether a majority of agent pairs agree on the relative worth of
     some two items: v_ij * v_kl = v_il * v_kj for agents i, k and items
-    j, l. The scales cancel, so this is tested on the int weights, as a
-    repeated ratio weights[i][j] : weights[k][j] in lowest terms.
+    j, l. The scales cancel, so this is tested on the int rows of
+    Instance.scaled, as a repeated ratio weights[i][j] : weights[k][j] in
+    lowest terms.
 
     Such values leave utility-neutral trades, so the max-min optimum is
     rarely unique and the simplex's hybrid attempt is mostly wasted
@@ -192,34 +185,44 @@ def _settle(weights, scales, shares, lam, D) -> None:
         for j, level in enumerate(row):
             if level < 0 or level > D:
                 raise InternalVerificationFailed(
-                    f"share x[{i}][{j}] = {Rational(level, D)} outside [0, 1]"
+                    f"share x[{i}][{j}] = {format_rational(Rational(level, D))} outside [0, 1]"
                 )
     for j, column in enumerate(zip(*shares)):
         total = sum(column)
         if total != D:
-            raise InternalVerificationFailed(f"item {j} has column sum {Rational(total, D)}, not 1")
+            raise InternalVerificationFailed(
+                f"item {j} has column sum {format_rational(Rational(total, D))}, not 1"
+            )
     for i, (row, ints, scale) in enumerate(zip(shares, weights, scales)):
         total = sum(map(mul, row, ints))
         if total != scale * lam:
             raise InternalVerificationFailed(
-                f"agent {i} settled at utility {Rational(total, scale * D)}, not {Rational(lam, D)}"
+                f"agent {i} settled at utility {format_rational(Rational(total, scale * D))},"
+                f" not {format_rational(Rational(lam, D))}"
             )
 
 
-def _settle_rationals(inst: Instance, rows, lam) -> Allocation:
-    """The allocation of the Rational shares rows, once _settle has
-    checked them at utility lam, all over their common denominator."""
-    ints, D = _over_common_denominator([lam, *(v for row in rows for v in row)])
-    m = len(rows[0])
-    weights, scales = _weights(inst)
-    _settle(weights, scales, [ints[k:k + m] for k in range(1, len(ints), m)], ints[0], D)
-    return Allocation(tuple(map(tuple, rows)))
-
-
-def _check_support(inst: Instance, alloc: Allocation, prices, budgets) -> None:
-    report = verify_equilibrium(inst, alloc, prices, budgets)
+def _closed_form(inst: Instance, rows, lam, prices, order, split, probes=None) -> MaxMinResult:
+    """The MaxMinResult of a fast path's Rational shares rows at utility
+    lam, with each budget the cost of its bundle at prices, once one
+    demand check has passed them: every bundle demanded (so no share
+    lies outside [0, 1]), every budget spent, every item sold exactly
+    once and every agent at exactly lam. Anything else is a bug."""
+    alloc = Allocation(tuple(map(tuple, rows)))
+    budgets = tuple(_dot(row, prices, held) for row, held in zip(alloc.x, alloc.graph.agent_items))
+    try:
+        report = verify_equilibrium(inst, alloc, prices, budgets)
+    except ValueError as exc:  # a negative budget, so a negative share
+        raise InternalVerificationFailed(f"fast-path {exc}") from None
     if not report.is_equilibrium:
         raise InternalVerificationFailed("fast-path prices and budgets do not support the allocation")
+    for r in report.reports:
+        if r.achieved_utility != lam:
+            raise InternalVerificationFailed(
+                f"agent {r.agent} at utility {format_rational(r.achieved_utility)},"
+                f" not {format_rational(lam)}"
+            )
+    return MaxMinResult(alloc, lam, prices, budgets, order, split, probes)
 
 
 def maxmin_two_agents(inst: Instance) -> MaxMinResult:
@@ -253,8 +256,6 @@ def maxmin_two_agents(inst: Instance) -> MaxMinResult:
     prefix0 = acc0 - v0[js]  # agent 0's value strictly before s
     suffix1 = total1 - acc1  # agent 1's value strictly after s
     frac = (v1[js] + suffix1 - prefix0) / (v0[js] + v1[js])
-    if frac < 0 or frac > 1:
-        raise InternalVerificationFailed(f"median split {frac} out of range")
 
     rows = [[ZERO] * m for _ in range(2)]
     for t, j in enumerate(perm):
@@ -265,19 +266,8 @@ def maxmin_two_agents(inst: Instance) -> MaxMinResult:
     rows[0][js] = frac
     rows[1][js] = ONE - frac
     lam = prefix0 + frac * v0[js]
-    alloc = _settle_rationals(inst, rows, lam)
-
-    prices = tuple(v0)
-    budgets = tuple(_dot(row, prices, held) for row, held in zip(alloc.x, alloc.graph.agent_items))
-    _check_support(inst, alloc, prices, budgets)
-    return MaxMinResult(
-        alloc,
-        lam,
-        prices=prices,
-        budgets=budgets,
-        order=PreferenceOrder(phi, perm),
-        split=SplitPoint(index=js, fraction=frac),
-    )
+    split = SplitPoint(index=js, fraction=frac)
+    return _closed_form(inst, rows, lam, v0, PreferenceOrder(phi, perm), split)
 
 
 def maxmin_two_items(inst: Instance) -> MaxMinResult:
@@ -338,21 +328,8 @@ def maxmin_two_items(inst: Instance) -> MaxMinResult:
         rows[perm[t]][1] = w * inv1[t]
     rows[perm[k]][0] = xk0
     rows[perm[k]][1] = xk1
-    alloc = _settle_rationals(inst, rows, w)
-
-    split_agent = perm[k]
-    prices = (v[split_agent][0], v[split_agent][1])
-    budgets = tuple(_dot(row, prices, held) for row, held in zip(alloc.x, alloc.graph.agent_items))
-    _check_support(inst, alloc, prices, budgets)
-    return MaxMinResult(
-        alloc,
-        w,
-        prices=prices,
-        budgets=budgets,
-        order=PreferenceOrder(rho, perm),
-        split=SplitPoint(index=split_agent, fraction=(xk0, xk1)),
-        probes=probes,
-    )
+    split = SplitPoint(index=perm[k], fraction=(xk0, xk1))
+    return _closed_form(inst, rows, w, v[perm[k]], PreferenceOrder(rho, perm), split, probes)
 
 
 def check_maxmin_characterization(inst: Instance, alloc: Allocation) -> bool:

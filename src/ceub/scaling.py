@@ -33,7 +33,7 @@ from .market import (
     verify_pareto_optimal,
 )
 from .pricing import ForestDecomposition, TreePricing, price_forest
-from .rationals import ONE, ZERO, Rational
+from .rationals import ONE, ZERO, Rational, format_rational
 
 log = logging.getLogger(__name__)
 
@@ -106,11 +106,12 @@ def _ratio_table(state: GainState) -> dict:
 
     For each funded agent i and each tree t other than its own, only
     i's best bang-per-buck v_ij / p_j in t matters. It is found on ints,
-    with the values over their common denominator and the prices over
-    theirs, by cross-multiplying; then one Rational is made per (agent,
-    tree). Agents come in ascending order and, for each, the trees in
-    the order of their lowest item, so each key is inserted when the
-    agent-by-agent, item-by-item scan would first reach it.
+    with i's values over their common denominator (Instance.scaled) and
+    the prices over theirs, by cross-multiplying; then one Rational is
+    made per (agent, tree). Agents come in ascending order and, for
+    each, the trees in the order of their lowest item, so each key is
+    inserted when the agent-by-agent, item-by-item scan would first
+    reach it.
     """
     decomp, pricing = state.decomp, state.pricing
     trees = sorted(
@@ -122,12 +123,11 @@ def _ratio_table(state: GainState) -> dict:
         return ratios  # no agent sees a foreign tree
     prices, budgets, utils = pricing.prices, pricing.budgets, pricing.utilities
     costs, unit = _over_common_denominator(prices)  # p_j * unit
-    for i, row in enumerate(state.inst.values):
+    for i, (worth, vunit) in enumerate(zip(*state.inst.scaled)):  # v_ij * vunit
         b, u = budgets[i], utils[i]
         if b.numerator == 0:
             continue
         s = decomp.tree_of_agent[i]
-        worth, vunit = _over_common_denominator(row)  # v_ij * vunit
         for t in trees:
             if t == s:
                 continue
@@ -187,8 +187,9 @@ def solve_multiplier_lp(state: GainState):
     for t in funded:
         alpha[t] = d[t] / total
     lam = ONE / total
-    log.info("multipliers: %d trees, %d pair constraints, lambda=%s",
-             len(funded), len(ratios), lam)
+    if log.isEnabledFor(logging.INFO):
+        log.info("multipliers: %d trees, %d pair constraints, lambda=%s",
+                 len(funded), len(ratios), format_rational(lam))
     return tuple(alpha), lam
 
 
@@ -225,7 +226,7 @@ def _raise_if_not_pareto_optimal(inst: Instance, y: Allocation) -> None:
     c = verdict.certificate
     raise NotParetoOptimal(
         f"improving trade cycle through agents {c.agents} and items {c.items} "
-        f"(ratio {c.improvement_ratio})",
+        f"(ratio {format_rational(c.improvement_ratio)})",
         verdict=verdict,
     )
 

@@ -21,7 +21,7 @@ from ceub import cli, market, scaling, simplex
 from ceub.cli import main
 from ceub.formats import dump_allocation, dump_instance, load_equilibrium, load_maxmin
 from ceub.market import make_allocation, validate_instance
-from ceub.rationals import rat
+from ceub.rationals import format_rational, rat
 
 
 def write_toy(tmp_path):
@@ -177,6 +177,43 @@ def test_price_then_verify_rationals_beyond_the_str_limit(tmp_path, capsys, monk
     assert main(["maxmin", str(instance), "-o", str(tmp_path / "mm.json")]) == 0
     err = capsys.readouterr().err
     assert err.startswith("INFO ceub.maxmin: max-min LP 2x2") and "Traceback" not in err
+
+
+def write_market(tmp_path, values, shares):
+    instance, allocation = tmp_path / "i.json", tmp_path / "a.json"
+    instance.write_text(dump_instance(validate_instance(values)), encoding="utf-8")
+    allocation.write_text(dump_allocation(make_allocation(shares)), encoding="utf-8")
+    return str(instance), str(allocation)
+
+
+@pytest.mark.parametrize("level", ["quiet", "trace"])
+def test_price_names_a_ratio_beyond_the_str_limit(tmp_path, capsys, monkeypatch, level):
+    # Each agent holds the item it values at 1, not the one it values at
+    # A: swapping them improves both, by a ratio of A**2, 6001 digits.
+    A = 10**3000 + 1
+    instance, allocation = write_market(tmp_path, [[A, 1], [1, A]], [[0, 1], [1, 0]])
+    monkeypatch.setenv("CEUB_LOG", level)
+    assert main(["price", instance, allocation, "-o", str(tmp_path / "eq.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"(ratio {format_rational(A * A)})" in err
+    assert "Logging error" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("level", ["info", "trace"])
+def test_price_logs_a_lambda_beyond_the_str_limit(tmp_path, capsys, monkeypatch, level):
+    # Agent 0 values agent 1's item above agent 1's price for it, by a
+    # ratio r of two 6000-digit ints: lambda is 1 / (1 + r).
+    rng = random.Random(4300)
+    a, b, c, d = sorted(rng.randrange(10**2999, 10**3000) for _ in range(4))
+    values = [[1, rat(d, a)], [rat(1, 10**3001), rat(c, b)]]
+    instance, allocation = write_market(tmp_path, values, [[1, 0], [0, 1]])
+    monkeypatch.setenv("CEUB_LOG", level)
+    assert main(["price", instance, allocation, "-o", str(tmp_path / "eq.json")]) == 0
+    err = capsys.readouterr().err
+    lam = format_rational(1 / (1 + rat(d * b, a * c)))
+    assert len(lam) > 4300
+    assert f"INFO ceub.scaling: multipliers: 2 trees, 2 pair constraints, lambda={lam}\n" in err
+    assert "Logging error" not in err and "Traceback" not in err
 
 
 def test_verify_names_agent_with_edited_budget(tmp_path, capsys):
@@ -485,6 +522,7 @@ MALFORMED = {
     "deep nesting in a field": lambda text: re.sub(r"[0-9]+,.*", "[" * 100_000, text, flags=re.S),
     "invalid UTF-8": lambda text: text.encode().replace(b"ceub", b"\xffceub"),
     "5000-digit count": lambda text: re.sub(r'"agents": [0-9]+', '"agents": ' + BIG, text),
+    "5000-digit extra field": lambda text: text.replace("{", '{"x": ' + BIG + ",", 1),
     "5000-digit rational": lambda text: re.sub(RATIONAL, f'"{BIG}/0"', text, count=1),
     "root is a list": lambda text: f"[{text}]",
     "count is a string": lambda text: re.sub(r'"agents": ([0-9]+)', r'"agents": "\1"', text),

@@ -21,7 +21,7 @@ from ceub.formats import (
 )
 from ceub.market import make_allocation, validate_instance, verify_equilibrium
 from ceub.maxmin import maxmin_two_agents
-from ceub.rationals import rat
+from ceub.rationals import format_rational, parse_rational, rat
 from ceub.scaling import support_pipeline
 
 
@@ -281,3 +281,44 @@ def test_maxmin_doc_requires_prices_and_budgets_together():
     doc["budgets"] = None
     with pytest.raises(SchemaError):
         load_maxmin(json.dumps(doc))
+
+
+# ------------------------------------------------- beyond Python's str limit
+
+# Python converts ints of at most 4300 digits to and from str by default.
+BIG = "9" * 5000
+
+
+def toy_documents():
+    inst, alloc = toy()
+    fast = maxmin_two_agents(inst)
+    maxmin_doc = MaxminDoc(fast.lam, fast.allocation.x, fast.prices, fast.budgets)
+    return {
+        "instance": (load_instance, dump_instance(inst)),
+        "allocation": (load_allocation, dump_allocation(alloc)),
+        "equilibrium": (load_equilibrium, dump_equilibrium(toy_equilibrium_doc())),
+        "maxmin": (load_maxmin, dump_maxmin(maxmin_doc)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["instance", "allocation", "equilibrium", "maxmin"])
+def test_a_5000_digit_int_in_any_field_is_a_schema_error(kind):
+    load, text = toy_documents()[kind]
+    load(text)
+    with pytest.raises(SchemaError, match="not valid JSON"):
+        load(text.replace("{", '{\n  "x": ' + BIG + ",", 1))
+
+
+def test_shares_and_values_beyond_the_str_limit_fail_as_schema_errors():
+    with pytest.raises(SchemaError, match=f"got -{BIG}"):
+        load_instance(replace_in_toy_instance("values", [["-" + BIG], ["99"]]))
+    below = BIG[:-1] + "8"
+    total = format_rational(2 * parse_rational(f"{below}/{BIG}"))
+    alloc_doc = json.loads(dump_allocation(toy()[1]))
+    for shares, message in (
+        ([[f"{BIG}/{below}"], ["0"]], rf"x\[0\]\[0\] = {BIG}/{below} outside"),
+        ([[f"{below}/{BIG}"]] * 2, f"column sum {total} > 1"),
+    ):
+        alloc_doc["shares"] = shares
+        with pytest.raises(SchemaError, match=message):
+            load_allocation(json.dumps(alloc_doc))

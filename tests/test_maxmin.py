@@ -140,23 +140,47 @@ def test_settle_rejects_an_agent_one_unit_off_lambda(changes, message):
         settle(**changes)
 
 
-@pytest.mark.parametrize(
-    "solver, values",
-    [(maxmin_two_agents, [[2, 1, 3], [1, 2, 1]]), (maxmin_two_items, [[2, 1], [1, 2], [3, 1]])],
-)
-def test_fast_paths_reach_the_settle_check(solver, values, monkeypatch):
-    calls = []
-    real = maxmin._settle
+# ------------------------------------------------------- closed-form check
 
-    def recorded(*args):
-        calls.append(args)
-        return real(*args)
+# Each case breaks one fact the fast paths' one demand check stands for,
+# keeping the others where the arithmetic allows: _closed_form must
+# refuse it. Identical agents value both items 1 at prices 1 and 1, so
+# every in-box bundle that spends its budget is demanded.
+SAME = [[1, 1]] * 4
+H, Q = rat(1, 2), rat(1, 4)
+BROKEN = {
+    # Column sums and utilities are right; a share is outside the box.
+    "a share of -1/2": (SAME, [[1, -H], [0, H], [0, H], [0, H]], H, (1, 1)),
+    "a share of 3/2": (SAME, [[3 * H, -1], [-H, 1], [0, H], [0, H]], H, (1, 1)),
+    # A bundle whose cost, so its budget, is negative.
+    "a negative budget": (SAME[:3], [[-H, 0], [3 * Q, H], [3 * Q, H]], 5 * Q, (1, 1)),
+    # Every bundle demanded and every agent at lambda.
+    "an item sold 1/2 times": (SAME[:2], [[Q, H], [Q, H]], 3 * Q, (1, 1)),
+    "an item sold 3/2 times": (SAME[:2], [[1, Q], [H, 3 * Q]], 5 * Q, (1, 1)),
+    # Every bundle demanded and every item sold once.
+    "every agent one unit below lambda": ([[3, 1], [1, 3]], [[1, 0], [0, 1]], 4, (3, 1)),
+    "every agent one unit above lambda": ([[3, 1], [1, 3]], [[1, 0], [0, 1]], 2, (3, 1)),
+    "agent 1 one unit above lambda": ([[3, 1], [1, 4]], [[1, 0], [0, 1]], 3, (3, 1)),
+}
 
-    monkeypatch.setattr(maxmin, "_settle", recorded)
-    result = solver(validate_instance(values))
-    [(weights, scales, shares, lam, D)] = calls
-    assert Rational(lam, D) == result.lam
-    assert [[Rational(s, D) for s in row] for row in shares] == [list(r) for r in result.allocation.x]
+
+def closed_form(values, rows, lam, prices):
+    inst = validate_instance(values)
+    return maxmin._closed_form(
+        inst, [list(map(rat, row)) for row in rows], rat(lam), tuple(map(rat, prices)), None, None
+    )
+
+
+def test_closed_form_accepts_a_supported_allocation():
+    result = closed_form([[3, 1], [1, 3]], [[1, 0], [0, 1]], 3, (3, 1))
+    assert result.allocation.x == ((1, 0), (0, 1))
+    assert result.lam == 3 and result.budgets == (3, 1) and result.prices == (3, 1)
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN))
+def test_closed_form_rejects(case):
+    with pytest.raises(InternalVerificationFailed):
+        closed_form(*BROKEN[case])
 
 
 # ------------------------------------------------------------ two agents

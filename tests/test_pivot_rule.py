@@ -193,7 +193,7 @@ def test_a_solver_that_makes_no_progress_hits_the_pivot_cap(first):
 
 
 def test_agreeing_values_are_structured():
-    weights = lambda rows: maxmin._weights(validate_instance(rows))[0]  # noqa: E731
+    weights = lambda rows: validate_instance(rows).scaled[0]  # noqa: E731
     assert maxmin._structured(weights([[1, 2], [2, 4]]))
     assert not maxmin._structured(weights([[3, 1], [1, 3]]))
     assert not maxmin._structured(weights([[1, 2]]))
