@@ -58,7 +58,6 @@ from .graphs import (
     AllocationGraph,
     CycleShift,
     SimpleCycle,
-    build_graph,
     eliminate_cycle,
     find_cycle,
     make_cycle_free,
@@ -91,10 +90,7 @@ from .pricing import ForestDecomposition, TreePricing, price_forest
 from .rationals import BACKEND, format_rational, parse_rational, rat
 from .scaling import (
     Equilibrium,
-    GainState,
     PipelineDetails,
-    assemble_equilibrium,
-    build_gain_state,
     solve_multiplier_lp,
     support_pipeline,
     support_with_details,

@@ -236,7 +236,9 @@ def _parse_tree_map(node, path: str, length: int, tree_count: int) -> tuple:
     if not isinstance(node, list) or len(node) != length:
         raise SchemaError(f"expected a list of {length} tree ids", path)
     for k, t in enumerate(node):
-        if type(t) is not int or not 0 <= t < tree_count:
+        if type(t) is not int:  # true and false load as bool
+            raise SchemaError("expected an integer tree id", f"{path}[{k}]")
+        if not 0 <= t < tree_count:
             raise SchemaError(f"tree id out of range 0..{tree_count - 1}", f"{path}[{k}]")
     return tuple(node)
 

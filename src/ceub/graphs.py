@@ -1,9 +1,8 @@
 """Cycle finding and utility-preserving cycle elimination.
 
 G(x) has an (undirected) edge between agent i and item j exactly when
-x[i][j] > 0. Each allocation builds it once, as Allocation.graph;
-market.build_graph, re-exported here with AllocationGraph, returns it
-after checking the allocation against the instance. Any Pareto-optimal
+x[i][j] > 0. Each allocation builds it once, as Allocation.graph, an
+AllocationGraph (re-exported here). Any Pareto-optimal
 fully-allocated x can be transformed into one whose graph is a forest
 without changing a single agent's utility: every graph cycle supports
 a closed chain of share transfers that keeps each intermediate agent
@@ -18,7 +17,7 @@ import logging
 from dataclasses import dataclass
 
 from .errors import InternalVerificationFailed, NotParetoOptimal
-from .market import Allocation, AllocationGraph, Instance, _check_dims, build_graph
+from .market import Allocation, AllocationGraph, Instance, _check_dims
 from .rationals import ONE, Rational, format_rational
 
 log = logging.getLogger(__name__)

@@ -246,12 +246,6 @@ def _check_dims(inst: Instance, alloc: Allocation) -> None:
         )
 
 
-def build_graph(inst: Instance, alloc: Allocation) -> AllocationGraph:
-    """The bipartite sharing graph of an allocation of inst's items."""
-    _check_dims(inst, alloc)
-    return alloc.graph
-
-
 def utility(inst: Instance, alloc: Allocation, i: int) -> Rational:
     """Additive utility of agent i's bundle: sum_j x[i][j] * v[i][j]."""
     _check_dims(inst, alloc)

@@ -10,7 +10,11 @@ The factors have a closed form: the least solution of the difference
 constraints between trees, by multiplicative Bellman-Ford
 (solve_multiplier_lp). Each constraint needs an agent's best value per
 price in a foreign tree, which is found by comparing ints; one Rational
-is made per agent and tree. The demand certificate then checks the
+is made per agent and tree.
+
+support_with_details calls the stages in turn: make_cycle_free,
+price_forest, solve_multiplier_lp. It multiplies each tree's prices and
+budgets by the tree's factor. The demand certificate then checks the
 scaled prices once, on the input allocation, and the cycle-free
 transform is checked against that report.
 """
@@ -39,24 +43,6 @@ log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class GainState:
-    """A priced cycle-free allocation: what the multipliers are solved on.
-
-    Prices, budgets, and utilities are the unscaled per-tree quantities.
-
-    Alpha vectors are indexed by decomposition tree id. Degenerate
-    trees (an agent holding nothing) have no prices to scale; their
-    entry is fixed at zero by convention, and the normalisation
-    sum(alpha) = 1 ranges over the funded trees.
-    """
-
-    inst: Instance
-    alloc: Allocation
-    decomp: ForestDecomposition
-    pricing: TreePricing
-
-
-@dataclass(frozen=True)
 class Equilibrium:
     """Scaled prices and budgets supporting an allocation.
 
@@ -78,30 +64,12 @@ class PipelineDetails:
     """Intermediates of support_pipeline, for callers that audit them."""
 
     equilibrium: Equilibrium
-    state: GainState
+    pricing: TreePricing  # the unscaled per-tree prices, budgets and utilities
     lam: Rational
     report: EquilibriumReport  # the demand oracle on y at the equilibrium
 
 
-def build_gain_state(inst: Instance, alloc: Allocation) -> GainState:
-    """Price a cycle-free allocation and package it for the multipliers."""
-    decomp, pricing = price_forest(inst, alloc)
-    return GainState(inst, alloc, decomp, pricing)
-
-
-def _check_alpha(state: GainState, alpha) -> None:
-    if len(alpha) != state.decomp.tree_count:
-        raise ValueError(f"{len(alpha)} multipliers for {state.decomp.tree_count} trees")
-    if any(a < 0 for a in alpha):
-        raise ValueError("negative multiplier")
-    if sum(alpha, ZERO) != 1:
-        raise ValueError("multipliers must sum to 1")
-    for t in range(state.decomp.tree_count):
-        if state.decomp.is_degenerate(t) and alpha[t] != 0:
-            raise ValueError(f"tree {t} has no items; its multiplier must be 0")
-
-
-def _ratio_table(state: GainState) -> dict:
+def _ratio_table(inst: Instance, decomp: ForestDecomposition, pricing: TreePricing) -> dict:
     """(tree of i, tree of j) -> the tightest v_ij * b_i / (p_j * u_i).
 
     For each funded agent i and each tree t other than its own, only
@@ -113,7 +81,6 @@ def _ratio_table(state: GainState) -> dict:
     inserted when the agent-by-agent, item-by-item scan would first
     reach it.
     """
-    decomp, pricing = state.decomp, state.pricing
     trees = sorted(
         (t for t in range(decomp.tree_count) if not decomp.is_degenerate(t)),
         key=lambda t: decomp.tree_items[t][0],
@@ -123,7 +90,7 @@ def _ratio_table(state: GainState) -> dict:
         return ratios  # no agent sees a foreign tree
     prices, budgets, utils = pricing.prices, pricing.budgets, pricing.utilities
     costs, unit = _over_common_denominator(prices)  # p_j * unit
-    for i, (worth, vunit) in enumerate(zip(*state.inst.scaled)):  # v_ij * vunit
+    for i, (worth, vunit) in enumerate(zip(*inst.scaled)):  # v_ij * vunit
         b, u = budgets[i], utils[i]
         if b.numerator == 0:
             continue
@@ -147,7 +114,7 @@ def _ratio_table(state: GainState) -> dict:
     return ratios
 
 
-def solve_multiplier_lp(state: GainState):
+def solve_multiplier_lp(inst: Instance, decomp: ForestDecomposition, pricing: TreePricing):
     """Scaling factors maximizing the smallest multiplier lambda.
 
     Subject to sum(alpha) = 1, alpha_T >= lambda, and for every
@@ -164,14 +131,13 @@ def solve_multiplier_lp(state: GainState):
     no positive scaling and certifies that the allocation was not
     Pareto optimal to begin with (InfeasibleLP).
     """
-    decomp = state.decomp
     funded = [t for t in range(decomp.tree_count) if not decomp.is_degenerate(t)]
     if not funded:
         # No items at all is impossible: instances are nonempty and
         # allocations fully allocated, so some tree owns an item.
         raise InternalVerificationFailed("no funded trees to scale")
 
-    ratios = _ratio_table(state)
+    ratios = _ratio_table(inst, decomp, pricing)
 
     # Degenerate trees own no items and fund no agent, so they touch no
     # ratio pair and stay out of the sum.
@@ -191,25 +157,6 @@ def solve_multiplier_lp(state: GainState):
         log.info("multipliers: %d trees, %d pair constraints, lambda=%s",
                  len(funded), len(ratios), format_rational(lam))
     return tuple(alpha), lam
-
-
-def assemble_equilibrium(state: GainState, alpha) -> Equilibrium:
-    """Scale each tree's prices and budgets by its multiplier in alpha.
-
-    alpha is validated (ValueError); the result is not checked here, but
-    by support_with_details, once, on y.
-    """
-    _check_alpha(state, alpha)
-    decomp = state.decomp
-    prices = tuple(
-        state.pricing.prices[j] * alpha[decomp.tree_of_item[j]]
-        for j in range(state.inst.item_count)
-    )
-    budgets = tuple(
-        state.pricing.budgets[i] * alpha[decomp.tree_of_agent[i]]
-        for i in range(state.inst.agent_count)
-    )
-    return Equilibrium(prices, budgets, tuple(alpha), state.alloc, decomp)
 
 
 def _raise_if_not_pareto_optimal(inst: Instance, y: Allocation) -> None:
@@ -236,12 +183,16 @@ def support_with_details(inst: Instance, y: Allocation) -> PipelineDetails:
     report is the demand oracle's one pass, on y."""
     try:
         x = make_cycle_free(inst, y)
-        state = build_gain_state(inst, x)
-        alpha, lam = solve_multiplier_lp(state)
-        eq = assemble_equilibrium(state, alpha)
+        decomp, pricing = price_forest(inst, x)
+        alpha, lam = solve_multiplier_lp(inst, decomp, pricing)
     except (NotParetoOptimal, OrphanItem, InternalVerificationFailed) as exc:
         _raise_if_not_pareto_optimal(inst, y)
         raise InternalVerificationFailed(f"Pareto-optimal input, yet: {exc}") from exc
+    # Each tree's prices and budgets times its multiplier; the result is
+    # not checked here, but once, on y.
+    prices = tuple(p * alpha[t] for p, t in zip(pricing.prices, decomp.tree_of_item))
+    budgets = tuple(b * alpha[t] for b, t in zip(pricing.budgets, decomp.tree_of_agent))
+    eq = Equilibrium(prices, budgets, alpha, x, decomp)
     # First Welfare Theorem: positive prices that support y, with every
     # budget spent and every item sold, make y Pareto optimal. So this
     # one check certifies y; the exchange graph only explains a failure.
@@ -257,11 +208,11 @@ def support_with_details(inst: Instance, y: Allocation) -> PipelineDetails:
         for i, row in enumerate(x.x):
             affordable = _dot(row, eq.prices, supports[i]) <= eq.budgets[i]
             # price_forest summed the utility of x' on the same support.
-            if not affordable or state.pricing.utilities[i] != report.reports[i].optimal_utility:
+            if not affordable or pricing.utilities[i] != report.reports[i].optimal_utility:
                 raise InternalVerificationFailed(
                     "scaled prices fail the demand oracle on the cycle-free allocation"
                 )
-    return PipelineDetails(eq, state, lam, report)
+    return PipelineDetails(eq, pricing, lam, report)
 
 
 def support_pipeline(inst: Instance, y: Allocation) -> Equilibrium:

@@ -29,9 +29,11 @@ eager_support_with_details is the pricing pipeline as it stood before
 the equilibrium became the Pareto certificate: the exchange-graph
 verifier first, then the construction, then every bundle of y checked
 by hand and y's report computed once more, as `ceub price` did. Its
-construction runs checked_assemble_equilibrium, which puts the
-cycle-free allocation through the demand oracle and the gain table as
-assemble_equilibrium once did on every call.
+construction runs checked_assemble_equilibrium, which scales each
+tree's prices and budgets by its multiplier and puts the cycle-free
+allocation through the demand oracle and the gain table, as the
+package's assembly step once did on every call; assemble_equilibrium is
+that step without the checks, its multipliers checked first.
 bundle_utility and bundle_cost are the Rational sums over every entry
 of a bundle that the package made before each allocation carried its
 sharing graph; the package's utility, column sums and fast-path budgets
@@ -57,6 +59,9 @@ The gain oracle (gain_ij, build_gain_table, fixed_point_map) is the
 second route to the tree multipliers that ceub.scaling once kept beside
 the closed form: the per-pair GAIN quantity and the fixed-point map F.
 At a correct alpha every gain is zero and F(alpha) = alpha exactly.
+They take what solve_multiplier_lp takes: the instance, the trees and
+the unscaled prices, which priced bundles (Priced) for a cycle-free
+allocation.
 two_walk_price_forest is price_forest as it stood before its two walks
 became one: decompose_forest finds each tree with a breadth-first walk,
 price_tree walks it again from the same root to price it, tree_budgets
@@ -69,6 +74,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from itertools import combinations, product
 from math import lcm
+from typing import NamedTuple
 
 from ceub import simplex
 from ceub.errors import (
@@ -84,7 +90,7 @@ from ceub.errors import (
 from ceub.generators import DEFAULT_GRID, SplitMix64
 from ceub.rationals import ONE, ZERO, Rational, rat
 from ceub.simplex import OPTIMAL, UNBOUNDED
-from ceub.graphs import AllocationGraph, build_graph, make_cycle_free
+from ceub.graphs import AllocationGraph, make_cycle_free
 from ceub.market import (
     Allocation,
     DemandReport,
@@ -100,16 +106,8 @@ from ceub.market import (
     verify_pareto_optimal,
 )
 from ceub.maxmin import MaxMinResult
-from ceub.pricing import ForestDecomposition, TreePricing
-from ceub.scaling import (
-    Equilibrium,
-    GainState,
-    PipelineDetails,
-    _check_alpha,
-    assemble_equilibrium,
-    build_gain_state,
-    solve_multiplier_lp,
-)
+from ceub.pricing import ForestDecomposition, TreePricing, price_forest
+from ceub.scaling import Equilibrium, PipelineDetails, solve_multiplier_lp
 
 
 LESS = "<="
@@ -368,7 +366,7 @@ def execute_certificate(inst, alloc: Allocation, cert) -> Allocation:
     return make_allocation(rows)
 
 
-def multiplier_lp(state):
+def multiplier_lp(inst: Instance, decomp: ForestDecomposition, pricing: TreePricing):
     """Cross-tree multipliers by the LP: maximize the smallest multiplier.
 
     Variables are one alpha per funded tree plus the floor lambda;
@@ -379,21 +377,20 @@ def multiplier_lp(state):
     with zeros at degenerate trees; raises InfeasibleLP when the program
     is infeasible or pins lambda at zero.
     """
-    decomp = state.decomp
     scaled = [t for t in range(decomp.tree_count) if not decomp.is_degenerate(t)]
     pos = {tree: k for k, tree in enumerate(scaled)}
     count = len(scaled)
     if count == 0:
         raise InternalVerificationFailed("no funded trees to scale")
 
-    prices, budgets, utils = state.pricing.prices, state.pricing.budgets, state.pricing.utilities
-    values = state.inst.values
+    prices, budgets, utils = pricing.prices, pricing.budgets, pricing.utilities
+    values = inst.values
     ratios: dict = {}
-    for i in range(state.inst.agent_count):
+    for i in range(inst.agent_count):
         if budgets[i] == 0:
             continue
         s = decomp.tree_of_agent[i]
-        for j in range(state.inst.item_count):
+        for j in range(inst.item_count):
             t = decomp.tree_of_item[j]
             if t == s:
                 continue
@@ -974,6 +971,19 @@ class SameTree(CeubError):
         super().__init__(f"agent {agent} and item {item} are in the same tree")
 
 
+class Priced(NamedTuple):
+    """An instance with the trees and unscaled prices of a cycle-free
+    allocation: the arguments of solve_multiplier_lp and the gain oracle."""
+
+    inst: Instance
+    decomp: ForestDecomposition
+    pricing: TreePricing
+
+
+def priced(inst: Instance, x: Allocation) -> Priced:
+    return Priced(inst, *price_forest(inst, x))
+
+
 @dataclass(frozen=True)
 class GainTable:
     """Gains of one alpha, aggregated per item and per tree.
@@ -992,15 +1002,17 @@ class GainTable:
         return all(g == 0 for g in self.gain_T)
 
 
-def v_min(state: GainState):
+def v_min(inst: Instance):
     """Half the smallest valuation in the instance. It caps every gain
     so that a single bounded quantity witnesses unbounded envy (an agent
     facing a zero-scaled foreign tree would otherwise report infinite
     gain)."""
-    return min(v for row in state.inst.values for v in row) / 2
+    return min(v for row in inst.values for v in row) / 2
 
 
-def gain_ij(state: GainState, alpha, i: int, j: int):
+def gain_ij(
+    inst: Instance, decomp: ForestDecomposition, pricing: TreePricing, alpha, i: int, j: int
+):
     """Capped utility agent i could gain from item j in a foreign tree.
 
     At scaling alpha, agent i's budget buys utility u_i inside her own
@@ -1012,16 +1024,16 @@ def gain_ij(state: GainState, alpha, i: int, j: int):
     entirely. Negative gains clamp to zero and everything is capped at
     v_min.
     """
-    ti = state.decomp.tree_of_agent[i]
-    tj = state.decomp.tree_of_item[j]
+    ti = decomp.tree_of_agent[i]
+    tj = decomp.tree_of_item[j]
     if ti == tj:
         raise SameTree(i, j)
-    budget = state.pricing.budgets[i]
+    budget = pricing.budgets[i]
     if budget == 0:
         raise ValueError(f"gain is undefined for unfunded agent {i}")
-    value = state.inst.values[i][j]
-    u = state.pricing.utilities[i]
-    scaled_price = alpha[tj] * state.pricing.prices[j]
+    value = inst.values[i][j]
+    u = pricing.utilities[i]
+    scaled_price = alpha[tj] * pricing.prices[j]
     scaled_budget = alpha[ti] * budget
     if scaled_price < scaled_budget:
         raw = value - scaled_price * u / scaled_budget
@@ -1031,20 +1043,22 @@ def gain_ij(state: GainState, alpha, i: int, j: int):
         raw = value * scaled_budget / scaled_price - u
     if raw < 0:
         raw = ZERO
-    cap = v_min(state)
+    cap = v_min(inst)
     return raw if raw < cap else cap
 
 
-def build_gain_table(state: GainState, alpha) -> GainTable:
-    n, m = state.inst.agent_count, state.inst.item_count
-    toa = state.decomp.tree_of_agent
-    toi = state.decomp.tree_of_item
-    budgets = state.pricing.budgets
+def build_gain_table(
+    inst: Instance, decomp: ForestDecomposition, pricing: TreePricing, alpha
+) -> GainTable:
+    n, m = inst.agent_count, inst.item_count
+    toa = decomp.tree_of_agent
+    toi = decomp.tree_of_item
+    budgets = pricing.budgets
     matrix = tuple(
         tuple(
             ZERO
             if budgets[i] == 0 or toa[i] == toi[j]
-            else gain_ij(state, alpha, i, j)
+            else gain_ij(inst, decomp, pricing, alpha, i, j)
             for j in range(m)
         )
         for i in range(n)
@@ -1052,38 +1066,70 @@ def build_gain_table(state: GainState, alpha) -> GainTable:
     per_item = tuple(max(matrix[i][j] for i in range(n)) for j in range(m))
     per_tree = tuple(
         max((per_item[j] for j in items), default=ZERO)
-        for items in state.decomp.tree_items
+        for items in decomp.tree_items
     )
     return GainTable(matrix, per_item, per_tree)
 
 
-def fixed_point_map(state: GainState, alpha) -> tuple:
+def _check_alpha(decomp: ForestDecomposition, alpha) -> None:
+    """alpha must be a point of the simplex over the funded trees."""
+    if len(alpha) != decomp.tree_count:
+        raise ValueError(f"{len(alpha)} multipliers for {decomp.tree_count} trees")
+    if any(a < 0 for a in alpha):
+        raise ValueError("negative multiplier")
+    if sum(alpha, ZERO) != 1:
+        raise ValueError("multipliers must sum to 1")
+    for t in range(decomp.tree_count):
+        if decomp.is_degenerate(t) and alpha[t] != 0:
+            raise ValueError(f"tree {t} has no items; its multiplier must be 0")
+
+
+def fixed_point_map(
+    inst: Instance, decomp: ForestDecomposition, pricing: TreePricing, alpha
+) -> tuple:
     """One step of F(alpha)_T = (alpha_T + GAIN_T) / (1 + sum GAIN).
 
     Maps the simplex to itself; alpha is a fixed point exactly when all
     gains vanish, which is the equilibrium condition.
     """
-    _check_alpha(state, alpha)
-    table = build_gain_table(state, alpha)
+    _check_alpha(decomp, alpha)
+    table = build_gain_table(inst, decomp, pricing, alpha)
     denom = ONE + sum(table.gain_T, ZERO)
     return tuple((alpha[t] + table.gain_T[t]) / denom for t in range(len(alpha)))
 
 
-def checked_assemble_equilibrium(state, alpha) -> Equilibrium:
-    """assemble_equilibrium as it stood while it checked its own result.
+def assemble_equilibrium(
+    inst: Instance, x: Allocation, decomp: ForestDecomposition, pricing: TreePricing, alpha
+) -> Equilibrium:
+    """Each tree's prices and budgets scaled by its multiplier in alpha,
+    which is checked first (ValueError)."""
+    _check_alpha(decomp, alpha)
+    prices = tuple(
+        pricing.prices[j] * alpha[decomp.tree_of_item[j]] for j in range(inst.item_count)
+    )
+    budgets = tuple(
+        pricing.budgets[i] * alpha[decomp.tree_of_agent[i]] for i in range(inst.agent_count)
+    )
+    return Equilibrium(prices, budgets, tuple(alpha), x, decomp)
+
+
+def checked_assemble_equilibrium(
+    inst: Instance, x: Allocation, decomp: ForestDecomposition, pricing: TreePricing, alpha
+) -> Equilibrium:
+    """The assembly step as it stood while it checked its own result.
 
     The scaled pair must support the cycle-free allocation under the
     demand oracle, and the gain table at alpha must be identically zero.
     Failure of either check is a pipeline bug, not a property of the
     input.
     """
-    eq = assemble_equilibrium(state, alpha)
-    report = verify_equilibrium(state.inst, state.alloc, eq.prices, eq.budgets)
+    eq = assemble_equilibrium(inst, x, decomp, pricing, alpha)
+    report = verify_equilibrium(inst, x, eq.prices, eq.budgets)
     if not report.supported:
         raise InternalVerificationFailed(
             "scaled prices fail the demand oracle on the cycle-free allocation"
         )
-    if not build_gain_table(state, alpha).all_zero:
+    if not build_gain_table(inst, decomp, pricing, alpha).all_zero:
         raise InternalVerificationFailed("gain table is nonzero at the solved multipliers")
     return eq
 
@@ -1105,9 +1151,9 @@ def eager_support_with_details(inst: Instance, y: Allocation) -> PipelineDetails
             verdict=verdict,
         )
     x = make_cycle_free(inst, y)
-    state = build_gain_state(inst, x)
-    alpha, lam = solve_multiplier_lp(state)
-    eq = checked_assemble_equilibrium(state, alpha)
+    decomp, pricing = price_forest(inst, x)
+    alpha, lam = solve_multiplier_lp(inst, decomp, pricing)
+    eq = checked_assemble_equilibrium(inst, x, decomp, pricing, alpha)
     # The same prices and budgets must support the original allocation:
     # its bundles cost exactly the budgets and sit in the demand sets.
     for i in range(inst.agent_count):
@@ -1121,7 +1167,7 @@ def eager_support_with_details(inst: Instance, y: Allocation) -> PipelineDetails
             )
     # The report `ceub price` then computed for its output file.
     report = verify_equilibrium(inst, y, eq.prices, eq.budgets)
-    return PipelineDetails(eq, state, lam, report)
+    return PipelineDetails(eq, pricing, lam, report)
 
 
 def bundle_utility(inst: Instance, bundle, i: int):
@@ -1208,17 +1254,16 @@ def greedy_verify_equilibrium(
     return EquilibriumReport(reports, fully, exhausted)
 
 
-def fraction_ratio_table(state: GainState) -> dict:
+def fraction_ratio_table(inst: Instance, decomp: ForestDecomposition, pricing: TreePricing) -> dict:
     """(tree of i, tree of j) -> tightest v_ij*b_i / (p_j*u_i), on Rationals."""
-    decomp = state.decomp
-    prices, budgets, utils = state.pricing.prices, state.pricing.budgets, state.pricing.utilities
-    values = state.inst.values
+    prices, budgets, utils = pricing.prices, pricing.budgets, pricing.utilities
+    values = inst.values
     ratios: dict = {}
-    for i in range(state.inst.agent_count):
+    for i in range(inst.agent_count):
         if budgets[i] == 0:
             continue
         s = decomp.tree_of_agent[i]
-        for j in range(state.inst.item_count):
+        for j in range(inst.item_count):
             t = decomp.tree_of_item[j]
             if t == s:
                 continue
@@ -1229,13 +1274,12 @@ def fraction_ratio_table(state: GainState) -> dict:
     return ratios
 
 
-def fraction_solve_multiplier_lp(state: GainState):
+def fraction_solve_multiplier_lp(inst: Instance, decomp: ForestDecomposition, pricing: TreePricing):
     """solve_multiplier_lp with the ratio table of fraction_ratio_table."""
-    decomp = state.decomp
     funded = [t for t in range(decomp.tree_count) if not decomp.is_degenerate(t)]
     if not funded:
         raise InternalVerificationFailed("no funded trees to scale")
-    ratios = fraction_ratio_table(state)
+    ratios = fraction_ratio_table(inst, decomp, pricing)
     d, cycle = max_product_paths(decomp.tree_count, [(s, t, r) for (s, t), r in ratios.items()])
     if cycle is not None:
         raise InfeasibleLP(
@@ -1351,7 +1395,7 @@ def tree_budgets(alloc: Allocation, prices) -> tuple:
 def two_walk_price_forest(inst: Instance, alloc: Allocation) -> tuple:
     """price_forest as it stood before its two walks became one."""
     _check_dims(inst, alloc)
-    g = build_graph(inst, alloc)
+    g = alloc.graph
     decomp = decompose_forest(g)
     prices = [None] * inst.item_count
     for tree in range(decomp.tree_count):

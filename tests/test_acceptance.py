@@ -29,7 +29,7 @@ from ceub.generators import (
     gen_pareto_allocation,
     gen_structured_instance,
 )
-from ceub.graphs import build_graph, eliminate_cycle, find_cycle, make_cycle_free
+from ceub.graphs import eliminate_cycle, find_cycle, make_cycle_free
 from ceub.market import (
     is_in_demand_set,
     make_allocation,
@@ -47,6 +47,7 @@ from oracles import (
     GREATER,
     LESS,
     OPTIMAL,
+    Priced,
     brute_force_lp,
     build_gain_table,
     core_solve_lp,
@@ -108,13 +109,13 @@ def test_criterion_2_cycle_elimination_suite():
     for inst, alloc in corpus():
         before = [utility(inst, alloc, i) for i in range(inst.agent_count)]
         current = alloc
-        edges = build_graph(inst, current).edge_count
+        edges = current.graph.edge_count
         while True:
-            cycle = find_cycle(build_graph(inst, current))
+            cycle = find_cycle(current.graph)
             if cycle is None:
                 break
             current, _ = eliminate_cycle(inst, current, cycle)
-            now = build_graph(inst, current).edge_count
+            now = current.graph.edge_count
             assert now < edges, "edge count must strictly decrease"
             edges = now
         assert make_cycle_free(inst, alloc).x == current.x
@@ -143,12 +144,13 @@ def test_criterion_3_end_to_end_support():
 
 def test_criterion_4_fixed_point_consistency():
     results, _ = pipeline_details()
-    for details in results:
+    for (inst, _), details in zip(corpus(), results):
         assert details.lam > 0
         alpha = details.equilibrium.alpha
         assert sum(alpha, ZERO) == 1
-        assert build_gain_table(details.state, alpha).all_zero
-        assert fixed_point_map(details.state, alpha) == alpha
+        state = Priced(inst, details.equilibrium.decomposition, details.pricing)
+        assert build_gain_table(*state, alpha).all_zero
+        assert fixed_point_map(*state, alpha) == alpha
     print(f"criterion 4: lambda > 0, simplex alpha, zero gains, exact fixed points "
           f"in {len(results)}/{len(results)} runs -> PASS")
 

@@ -322,6 +322,29 @@ def test_verify_prints_the_optimum_a_dominated_allocation_misses(tmp_path, capsy
     ]
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("prices", "0", "price of item 0 must be > 0 for the demand oracle"),
+        ("prices", "-1", "price of item 0 must be > 0 for the demand oracle"),
+        ("budgets", "-1", "budget must be nonnegative, got -1"),
+    ],
+    ids=["zero price", "negative price", "negative budget"],
+)
+def test_verify_rejects_a_price_or_budget_out_of_range(tmp_path, capsys, field, value, message):
+    instance, allocation = write_toy(tmp_path)
+    eq_path = tmp_path / "eq.json"
+    assert main(["price", instance, allocation, "-o", str(eq_path)]) == 0
+    doc = json.loads(eq_path.read_text(encoding="utf-8"))
+    doc[field][0] = value
+    eq_path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", instance, allocation, str(eq_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_verify_missing_file(tmp_path, capsys):
     instance, allocation = write_toy(tmp_path)
     assert main(["verify", instance, allocation, str(tmp_path / "absent.json")]) == 1
@@ -463,13 +486,26 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def console_script(pyproject: str) -> str:
+    """The `ceub = "module:attr"` target of [project.scripts], read with
+    one regex so that Python 3.10, which has no tomllib, reads it too.
+    Where tomllib exists, both readings must agree."""
+    target = re.search(
+        r'^\[project\.scripts\]\n(?:.*\n)*?ceub = "([\w.]+:\w+)"$', pyproject, re.M
+    ).group(1)
+    try:
+        import tomllib
+    except ModuleNotFoundError:
+        return target
+    assert tomllib.loads(pyproject)["project"]["scripts"]["ceub"] == target
+    return target
+
+
 def run_entry_point(tmp_path, *argv, **environ):
     """Run the declared `ceub` console script in a subprocess, from the
     source tree, with extra environment variables."""
-    tomllib = pytest.importorskip("tomllib")
     root = Path(__file__).resolve().parent.parent
-    with open(root / "pyproject.toml", "rb") as f:
-        target = tomllib.load(f)["project"]["scripts"]["ceub"]
+    target = console_script((root / "pyproject.toml").read_text(encoding="utf-8"))
     module, attr = target.split(":")
     wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
     env = dict(os.environ, **environ)

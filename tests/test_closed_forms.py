@@ -28,12 +28,13 @@ from ceub.generators import (
 from ceub.graphs import make_cycle_free
 from ceub.market import make_allocation, validate_instance
 from ceub.rationals import rat
-from ceub.scaling import _ratio_table, build_gain_state, solve_multiplier_lp
+from ceub.scaling import _ratio_table, solve_multiplier_lp
 
 from oracles import (
     fraction_ratio_table,
     fraction_solve_multiplier_lp,
     multiplier_lp,
+    priced,
     welfare_lp_allocation,
 )
 
@@ -68,7 +69,7 @@ def both_routes(state):
     out = []
     for solve in (solve_multiplier_lp, multiplier_lp):
         try:
-            out.append(solve(state))
+            out.append(solve(*state))
         except InfeasibleLP:
             out.append(InfeasibleLP)
     return out
@@ -83,7 +84,7 @@ def both_routes(state):
 def test_multipliers_match_the_lp(market):
     values, owners = market
     rows = [[rat(int(owners[j] == i)) for j in range(len(owners))] for i in range(len(values))]
-    state = build_gain_state(validate_instance(values), make_allocation(rows))
+    state = priced(validate_instance(values), make_allocation(rows))
     closed, lp = both_routes(state)
     assert closed == lp
 
@@ -95,7 +96,7 @@ def test_multipliers_match_the_lp_on_shared_items(seed, n, m):
     # agents and prices are propagated across them.
     inst = gen_structured_instance(GenConfig(seed=seed, agents=n, items=m))
     y = gen_pareto_allocation(inst, seed, mode="b")
-    state = build_gain_state(inst, make_cycle_free(inst, y))
+    state = priced(inst, make_cycle_free(inst, y))
     closed, lp = both_routes(state)
     assert closed == lp
 
@@ -107,12 +108,12 @@ def test_ratio_table_matches_the_fraction_loop(market):
     # cycle, read off the order of the ratio pairs, is compared too.
     values, owners = market
     rows = [[rat(int(owners[j] == i)) for j in range(len(owners))] for i in range(len(values))]
-    state = build_gain_state(validate_instance(values), make_allocation(rows))
-    assert list(_ratio_table(state).items()) == list(fraction_ratio_table(state).items())
+    state = priced(validate_instance(values), make_allocation(rows))
+    assert list(_ratio_table(*state).items()) == list(fraction_ratio_table(*state).items())
     routes = []
     for solve in (solve_multiplier_lp, fraction_solve_multiplier_lp):
         try:
-            routes.append(solve(state))
+            routes.append(solve(*state))
         except InfeasibleLP as exc:
             routes.append(str(exc))
     assert routes[0] == routes[1]
@@ -124,11 +125,11 @@ def test_positive_cross_tree_cycle_is_infeasible_on_both_routes():
     tenth = rat(1, 10)
     inst = validate_instance([[1, 2, tenth], [tenth, 1, 2], [2, tenth, 1]])
     alloc = make_allocation([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    state = build_gain_state(inst, alloc)
+    state = priced(inst, alloc)
     with pytest.raises(InfeasibleLP, match=r"trees \[\d, \d, \d\]"):
-        solve_multiplier_lp(state)
+        solve_multiplier_lp(*state)
     with pytest.raises(InfeasibleLP):
-        multiplier_lp(state)
+        multiplier_lp(*state)
 
 
 @PROPERTY

@@ -36,14 +36,16 @@ from ceub.market import (
     verify_equilibrium,
 )
 from ceub.rationals import rat
-from ceub.scaling import _ratio_table, build_gain_state, solve_multiplier_lp, support_with_details
+from ceub.scaling import _ratio_table, solve_multiplier_lp, support_with_details
 
 from oracles import (
+    Priced,
     bundle_utility,
     fraction_ratio_table,
     fraction_solve_multiplier_lp,
     greedy_is_in_demand_set,
     greedy_verify_equilibrium,
+    priced,
 )
 from test_acceptance import corpus, pipeline_details
 
@@ -222,17 +224,18 @@ def test_verify_equilibrium_error_precedence(prices, budgets):
 
 
 def compare_ratio_tables(state):
-    ours = _ratio_table(state)
-    assert list(ours.items()) == list(fraction_ratio_table(state).items())
-    assert outcome(solve_multiplier_lp, state) == outcome(fraction_solve_multiplier_lp, state)
+    ours = _ratio_table(*state)
+    assert list(ours.items()) == list(fraction_ratio_table(*state).items())
+    assert outcome(solve_multiplier_lp, *state) == outcome(fraction_solve_multiplier_lp, *state)
     return ours
 
 
 def test_ratio_table_matches_the_fraction_loop_on_the_corpus():
     pairs = 0
     results, _ = pipeline_details()
-    for details in results:
-        pairs += len(compare_ratio_tables(details.state))
+    for (inst, _), details in zip(corpus(), results):
+        state = Priced(inst, details.equilibrium.decomposition, details.pricing)
+        pairs += len(compare_ratio_tables(state))
     assert pairs > 0
 
 
@@ -240,7 +243,7 @@ def test_ratio_table_matches_the_fraction_loop_on_mode_b_markets():
     # Max-min allocations come out of cycle removal as one funded tree,
     # so no agent has a foreign tree and the tables are empty.
     for inst, y in mode_b_pairs():
-        assert compare_ratio_tables(build_gain_state(inst, make_cycle_free(inst, y))) == {}
+        assert compare_ratio_tables(priced(inst, make_cycle_free(inst, y))) == {}
 
 
 @pytest.mark.parametrize(
@@ -257,8 +260,8 @@ def test_infeasible_multipliers_raise_the_same_message(owners):
     base = [[1, 2, tenth], [tenth, 1, 2], [2, tenth, 1]]
     values = [[row[owner] for owner in owners] for row in base]
     shares = [[int(owner == i) for owner in owners] for i in range(3)]
-    state = build_gain_state(validate_instance(values), make_allocation(shares))
-    ours = outcome(solve_multiplier_lp, state)
+    state = priced(validate_instance(values), make_allocation(shares))
+    ours = outcome(solve_multiplier_lp, *state)
     assert ours[0] is InfeasibleLP
-    assert ours == outcome(fraction_solve_multiplier_lp, state)
-    assert list(_ratio_table(state).items()) == list(fraction_ratio_table(state).items())
+    assert ours == outcome(fraction_solve_multiplier_lp, *state)
+    assert list(_ratio_table(*state).items()) == list(fraction_ratio_table(*state).items())

@@ -227,6 +227,23 @@ def test_equilibrium_validates_tree_ids_and_agent_order():
     assert load_equilibrium(json.dumps(doc)) == toy_equilibrium_doc()
 
 
+@pytest.mark.parametrize(
+    "tree, message",
+    [
+        (False, "expected an integer tree id"),
+        ("0", "expected an integer tree id"),
+        (1.0, "expected an integer tree id"),
+        (2, r"tree id out of range 0\.\.0"),
+    ],
+    ids=["false", "string", "float", "out of range"],
+)
+def test_tree_id_must_be_an_int_in_range(tree, message):
+    doc = json.loads(dump_equilibrium(toy_equilibrium_doc()))
+    doc["trees"]["of_item"] = [tree]
+    with pytest.raises(SchemaError, match=rf"^trees\.of_item\[0\]: {message}$"):
+        load_equilibrium(json.dumps(doc))
+
+
 def _set(*keys, value):
     """An edit of an equilibrium document: the field at keys becomes value."""
 

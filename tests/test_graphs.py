@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ceub.errors import InternalVerificationFailed, NotParetoOptimal
-from ceub.graphs import SimpleCycle, build_graph, eliminate_cycle, find_cycle, make_cycle_free
+from ceub.graphs import SimpleCycle, eliminate_cycle, find_cycle, make_cycle_free
 from ceub.market import Allocation, make_allocation, utility, validate_instance
 from ceub.rationals import rat
 
@@ -42,36 +42,35 @@ def forest_check(graph) -> bool:
 
 
 def test_build_graph_toy():
-    inst, alloc = toy()
-    g = build_graph(inst, alloc)
+    _, alloc = toy()
+    g = alloc.graph
     assert g.edge_count == 2
     assert g.agent_items == ((0,), (0,))
     assert g.item_agents == ((0, 1),)
 
 
 def test_build_graph_permutation():
-    inst = validate_instance([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     alloc = make_allocation([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    g = build_graph(inst, alloc)
+    g = alloc.graph
     assert g.edge_count == 3
     assert forest_check(g)
 
 
 def test_build_graph_shared_square():
-    inst, alloc = all_halves_2x2([[2, 1], [1, 2]])
-    g = build_graph(inst, alloc)
+    _, alloc = all_halves_2x2([[2, 1], [1, 2]])
+    g = alloc.graph
     assert g.edge_count == 4
     assert not forest_check(g)
 
 
 def test_find_cycle_on_forest():
-    inst, alloc = toy()
-    assert find_cycle(build_graph(inst, alloc)) is None
+    _, alloc = toy()
+    assert find_cycle(alloc.graph) is None
 
 
 def test_find_cycle_on_shared_square():
-    inst, alloc = all_halves_2x2([[1, 1], [1, 1]])
-    cycle = find_cycle(build_graph(inst, alloc))
+    _, alloc = all_halves_2x2([[1, 1], [1, 1]])
+    cycle = find_cycle(alloc.graph)
     assert cycle == SimpleCycle(agents=(0, 1), items=(0, 1))
     assert cycle.length == 2
 
@@ -79,14 +78,14 @@ def test_find_cycle_on_shared_square():
 def test_eliminate_cycle_requires_neutral_closure():
     # crossed preferences close at ratio 4; one direction is a strict gain
     inst, alloc = all_halves_2x2([[2, 1], [1, 2]])
-    cycle = find_cycle(build_graph(inst, alloc))
+    cycle = find_cycle(alloc.graph)
     with pytest.raises(NotParetoOptimal):
         eliminate_cycle(inst, alloc, cycle)
 
 
 def test_eliminate_cycle_on_indifferent_square():
     inst, alloc = all_halves_2x2([[1, 1], [1, 1]])
-    cycle = find_cycle(build_graph(inst, alloc))
+    cycle = find_cycle(alloc.graph)
     after, shift = eliminate_cycle(inst, alloc, cycle)
     assert after.x == ((rat(1), rat(0)), (rat(0), rat(1)))
     assert utility(inst, after, 0) == 1
@@ -160,19 +159,19 @@ def test_make_cycle_free_properties():
         before = [utility(inst, alloc, i) for i in range(n)]
 
         # edge counts strictly decrease across eliminations
-        counts = [build_graph(inst, alloc).edge_count]
+        counts = [alloc.graph.edge_count]
         current = alloc
         while True:
-            cycle = find_cycle(build_graph(inst, current))
+            cycle = find_cycle(current.graph)
             if cycle is None:
                 break
             current, _ = eliminate_cycle(inst, current, cycle)
-            counts.append(build_graph(inst, current).edge_count)
+            counts.append(current.graph.edge_count)
         assert all(a > b for a, b in zip(counts, counts[1:]))
 
         result = make_cycle_free(inst, alloc)
         assert result.x == current.x
-        g = build_graph(inst, result)
+        g = result.graph
         assert forest_check(g)
         trees = _component_count(g)
         assert g.edge_count <= n + m - trees
@@ -203,6 +202,6 @@ def _component_count(g) -> int:
 
 def test_normalization_is_deterministic():
     # The same tangled graph must always surface the same first cycle.
-    inst, alloc = all_halves_2x2([[1, 1], [1, 1]])
-    seen = {find_cycle(build_graph(inst, alloc)) for _ in range(5)}
+    _, alloc = all_halves_2x2([[1, 1], [1, 1]])
+    seen = {find_cycle(alloc.graph) for _ in range(5)}
     assert len(seen) == 1

@@ -13,7 +13,7 @@ import pytest
 
 from ceub.errors import CeubError, NotAForest, OrphanItem
 from ceub.generators import GenConfig, gen_instance, gen_pareto_allocation, gen_structured_instance
-from ceub.graphs import build_graph, make_cycle_free
+from ceub.graphs import make_cycle_free
 from ceub.market import make_allocation, utility, validate_instance
 from ceub.pricing import ForestDecomposition, price_forest
 from ceub.rationals import ZERO, rat
@@ -104,7 +104,7 @@ def _generated_forest(seed):
 def test_pricing_invariants_on_generated_forests():
     for seed in range(40):
         inst, alloc = _generated_forest(seed)
-        g = build_graph(inst, alloc)
+        g = alloc.graph
         decomp, pricing = price_forest(inst, alloc)
         n, m = inst.agent_count, inst.item_count
 
@@ -136,7 +136,7 @@ def test_root_choice_only_rescales():
     # price_forest's prices for that tree times one positive factor.
     for seed in (3, 11, 19):
         inst, alloc = _generated_forest(seed)
-        g = build_graph(inst, alloc)
+        g = alloc.graph
         decomp, pricing = price_forest(inst, alloc)
         for tree in range(decomp.tree_count):
             if decomp.is_degenerate(tree):

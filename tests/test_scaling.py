@@ -1,4 +1,4 @@
-"""Cross-tree scaling: gain oracle, fixed-point map, multiplier LP, assembly.
+"""Cross-tree scaling: gain oracle, fixed-point map, multiplier LP, pipeline.
 
 The pipeline under test turns a Pareto-optimal allocation into anonymous
 prices and budgets that support it; every stage is exercised both on
@@ -16,23 +16,27 @@ import pytest
 from ceub import graphs, market, scaling
 from ceub.errors import InfeasibleLP, InternalVerificationFailed, NotParetoOptimal
 from ceub.generators import GenConfig, gen_instance, gen_pareto_allocation, gen_structured_instance
-from ceub.graphs import build_graph, find_cycle
+from ceub.graphs import find_cycle
 from ceub.market import (
     is_in_demand_set,
     make_allocation,
     validate_instance,
     verify_equilibrium,
 )
+from ceub.pricing import price_forest
 from ceub.rationals import ZERO, rat
-from ceub.scaling import (
-    assemble_equilibrium,
-    build_gain_state,
-    solve_multiplier_lp,
-    support_pipeline,
-    support_with_details,
-)
+from ceub.scaling import solve_multiplier_lp, support_pipeline, support_with_details
 
-from oracles import SameTree, build_gain_table, bundle_cost, fixed_point_map, gain_ij, v_min
+from oracles import (
+    Priced,
+    SameTree,
+    build_gain_table,
+    bundle_cost,
+    fixed_point_map,
+    gain_ij,
+    priced,
+    v_min,
+)
 
 HALF = rat(1, 2)
 
@@ -43,10 +47,10 @@ def diagonal(values):
     return inst, alloc
 
 
-def toy_state():
+def toy():
     inst = validate_instance([[1], [99]])
     alloc = make_allocation([[rat(99, 100)], [rat(1, 100)]])
-    return build_gain_state(inst, alloc)
+    return inst, alloc
 
 
 # ------------------------------------------------------------- gain oracle
@@ -55,35 +59,35 @@ def toy_state():
 def test_gain_cases_on_mismatched_diagonal():
     # own item worth 1, the other worth 3: every cross gain hits the cap
     inst, alloc = diagonal([[1, 3], [3, 1]])
-    state = build_gain_state(inst, alloc)
-    assert v_min(state) == HALF
+    state = priced(inst, alloc)
+    assert v_min(inst) == HALF
 
     # scaled price below scaled budget: the whole item is affordable
-    assert gain_ij(state, (1, 0), 0, 1) == HALF
+    assert gain_ij(*state, (1, 0), 0, 1) == HALF
     # zero multiplier on the agent's own tree kills her budget
-    assert gain_ij(state, (0, 1), 0, 1) == 0
+    assert gain_ij(*state, (0, 1), 0, 1) == 0
     # equal multipliers: partial purchase, raw gain 2 capped to 1/2
-    assert gain_ij(state, (HALF, HALF), 0, 1) == HALF
+    assert gain_ij(*state, (HALF, HALF), 0, 1) == HALF
 
 
 def test_gain_requires_cross_tree_pairs():
-    state = toy_state()
+    state = priced(*toy())
     with pytest.raises(SameTree):
-        gain_ij(state, (rat(1),), 0, 0)
+        gain_ij(*state, (rat(1),), 0, 0)
 
 
 def test_gain_undefined_for_unfunded_agents():
     inst = validate_instance([[1, 1], [1, 1]])
     alloc = make_allocation([[1, 1], [0, 0]])
-    state = build_gain_state(inst, alloc)
+    state = priced(inst, alloc)
     with pytest.raises(ValueError):
-        gain_ij(state, (1, 0), 1, 0)
+        gain_ij(*state, (1, 0), 1, 0)
 
 
 def test_gain_table_shape_and_caps():
     inst, alloc = diagonal([[1, 3], [3, 1]])
-    state = build_gain_state(inst, alloc)
-    table = build_gain_table(state, (HALF, HALF))
+    state = priced(inst, alloc)
+    table = build_gain_table(*state, (HALF, HALF))
     assert table.gain_ij[0][0] == 0  # same tree
     assert table.gain_ij[0][1] == HALF
     assert table.gain_j == (HALF, HALF)
@@ -91,7 +95,7 @@ def test_gain_table_shape_and_caps():
     assert not table.all_zero
     for row in table.gain_ij:
         for g in row:
-            assert 0 <= g <= v_min(state)
+            assert 0 <= g <= v_min(inst)
 
 
 # --------------------------------------------------------- fixed-point map
@@ -104,9 +108,9 @@ def test_fixed_point_map_stays_on_simplex():
         inst = gen_instance(cfg)
         y = gen_pareto_allocation(inst, seed)
         details = support_with_details(inst, y)
-        state = details.state
-        count = state.decomp.tree_count
-        funded = [t for t in range(count) if not state.decomp.is_degenerate(t)]
+        decomp = details.equilibrium.decomposition
+        count = decomp.tree_count
+        funded = [t for t in range(count) if not decomp.is_degenerate(t)]
         ticks = [rng.randrange(0, 5) for _ in funded]
         total = sum(ticks) or 1
         alpha = [ZERO] * count
@@ -114,11 +118,11 @@ def test_fixed_point_map_stays_on_simplex():
             alpha[t] = rat(w, total)
         if sum(alpha, ZERO) != 1:
             alpha[funded[0]] += 1 - sum(alpha, ZERO)
-        image = fixed_point_map(state, tuple(alpha))
+        image = fixed_point_map(inst, decomp, details.pricing, tuple(alpha))
         assert sum(image, ZERO) == 1
         assert all(a >= 0 for a in image)
         for t in range(count):
-            if state.decomp.is_degenerate(t):
+            if decomp.is_degenerate(t):
                 assert image[t] == 0
 
 
@@ -126,53 +130,50 @@ def test_fixed_point_with_nonzero_gains():
     # the unsupportable diagonal still fixes (1/2, 1/2): both trees gain
     # the same capped amount, so the normalization cancels
     inst, alloc = diagonal([[1, 3], [3, 1]])
-    state = build_gain_state(inst, alloc)
-    assert fixed_point_map(state, (HALF, HALF)) == (HALF, HALF)
-    assert not build_gain_table(state, (HALF, HALF)).all_zero
+    state = priced(inst, alloc)
+    assert fixed_point_map(*state, (HALF, HALF)) == (HALF, HALF)
+    assert not build_gain_table(*state, (HALF, HALF)).all_zero
 
 
 def test_alpha_validation():
     inst, alloc = diagonal([[3, 1], [1, 3]])
-    state = build_gain_state(inst, alloc)
+    state = priced(inst, alloc)
     with pytest.raises(ValueError):
-        fixed_point_map(state, (rat(1),))
+        fixed_point_map(*state, (rat(1),))
     with pytest.raises(ValueError):
-        fixed_point_map(state, (rat(2), rat(-1)))
+        fixed_point_map(*state, (rat(2), rat(-1)))
     with pytest.raises(ValueError):
-        fixed_point_map(state, (HALF, rat(1, 3)))
+        fixed_point_map(*state, (HALF, rat(1, 3)))
 
-    lopsided = build_gain_state(
-        validate_instance([[1, 1], [1, 1]]), make_allocation([[1, 1], [0, 0]])
-    )
+    lopsided = priced(validate_instance([[1, 1], [1, 1]]), make_allocation([[1, 1], [0, 0]]))
     with pytest.raises(ValueError):
-        fixed_point_map(lopsided, (HALF, HALF))  # tree 1 is degenerate
+        fixed_point_map(*lopsided, (HALF, HALF))  # tree 1 is degenerate
 
 
 # ------------------------------------------------------------ multiplier LP
 
 
 def test_single_tree_is_trivially_scaled():
-    alpha, lam = solve_multiplier_lp(toy_state())
+    alpha, lam = solve_multiplier_lp(*priced(*toy()))
     assert alpha == (rat(1),)
     assert lam == 1
 
 
 def test_matched_diagonal_splits_evenly():
     inst, alloc = diagonal([[3, 1], [1, 3]])
-    state = build_gain_state(inst, alloc)
-    alpha, lam = solve_multiplier_lp(state)
+    state = priced(inst, alloc)
+    alpha, lam = solve_multiplier_lp(*state)
     assert alpha == (HALF, HALF)
     assert lam == HALF
-    table = build_gain_table(state, alpha)
+    table = build_gain_table(*state, alpha)
     assert table.all_zero
-    assert fixed_point_map(state, alpha) == alpha
+    assert fixed_point_map(*state, alpha) == alpha
 
 
 def test_mismatched_diagonal_is_infeasible():
     inst, alloc = diagonal([[1, 3], [3, 1]])
-    state = build_gain_state(inst, alloc)
     with pytest.raises(InfeasibleLP):
-        solve_multiplier_lp(state)
+        solve_multiplier_lp(*priced(inst, alloc))
 
 
 def test_infeasible_lp_signals_not_pareto_optimal():
@@ -181,8 +182,7 @@ def test_infeasible_lp_signals_not_pareto_optimal():
 
 def test_identical_trees_split_evenly():
     inst, alloc = diagonal([[1, 1], [1, 1]])
-    state = build_gain_state(inst, alloc)
-    alpha, lam = solve_multiplier_lp(state)
+    alpha, lam = solve_multiplier_lp(*priced(inst, alloc))
     assert alpha == (HALF, HALF)
     assert lam == HALF
 
@@ -190,45 +190,44 @@ def test_identical_trees_split_evenly():
 def test_degenerate_trees_are_pinned_at_zero():
     inst = validate_instance([[1, 1], [1, 1]])
     alloc = make_allocation([[1, 1], [0, 0]])
-    state = build_gain_state(inst, alloc)
-    alpha, lam = solve_multiplier_lp(state)
+    alpha, lam = solve_multiplier_lp(*priced(inst, alloc))
     assert alpha == (rat(1), ZERO)
     assert lam == 1
 
 
 def test_multipliers_log_one_info_line(caplog):
     inst, alloc = diagonal([[3, 1], [1, 3]])
-    state = build_gain_state(inst, alloc)
+    state = priced(inst, alloc)
     with caplog.at_level(logging.INFO, logger="ceub.scaling"):
-        solve_multiplier_lp(state)
+        solve_multiplier_lp(*state)
     assert [r.getMessage() for r in caplog.records if r.name == "ceub.scaling"] == [
         "multipliers: 2 trees, 2 pair constraints, lambda=1/2"
     ]
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="ceub.scaling"):
-        solve_multiplier_lp(state)
+        solve_multiplier_lp(*state)
     assert not [r for r in caplog.records if r.name == "ceub.scaling"]
 
 
-# ---------------------------------------------------------------- assembly
+# ------------------------------------------------------- scaling the trees
 
 
 def test_assemble_toy_equilibrium():
-    state = toy_state()
-    alpha, _ = solve_multiplier_lp(state)
-    eq = assemble_equilibrium(state, alpha)
+    inst, alloc = toy()
+    eq = support_with_details(inst, alloc).equilibrium
     assert eq.prices == (rat(1),)
     assert eq.budgets == (rat(99, 100), rat(1, 100))
     assert eq.alpha == (rat(1),)
-    report = verify_equilibrium(state.inst, state.alloc, eq.prices, eq.budgets)
+    report = verify_equilibrium(inst, eq.allocation, eq.prices, eq.budgets)
     assert report.supported and report.items_fully_allocated and report.budgets_exhausted
 
 
 def test_assemble_scales_prices_and_budgets():
     inst, alloc = diagonal([[3, 1], [1, 3]])
-    state = build_gain_state(inst, alloc)
-    alpha, _ = solve_multiplier_lp(state)
-    eq = assemble_equilibrium(state, alpha)
+    details = support_with_details(inst, alloc)
+    eq = details.equilibrium
+    assert eq.alpha == (HALF, HALF)
+    assert details.pricing.prices == (rat(3), rat(3))
     assert eq.prices == (rat(3, 2), rat(3, 2))
     assert eq.budgets == (rat(3, 2), rat(3, 2))
 
@@ -251,7 +250,7 @@ def test_support_pipeline_supports_original_and_transform():
     y = make_allocation([[HALF, HALF], [HALF, HALF]])
     details = support_with_details(inst, y)
     eq = details.equilibrium
-    assert find_cycle(build_graph(inst, eq.allocation)) is None
+    assert find_cycle(eq.allocation.graph) is None
     for alloc in (y, eq.allocation):
         report = verify_equilibrium(inst, alloc, eq.prices, eq.budgets)
         assert report.supported
@@ -367,14 +366,14 @@ def test_pipeline_details_expose_consistent_intermediates():
         y = gen_pareto_allocation(inst, seed, mode="a" if seed % 2 else "b")
         details = support_with_details(inst, y)
         eq = details.equilibrium
-        state = details.state
+        state = Priced(inst, eq.decomposition, details.pricing)
 
         assert details.lam > 0
         assert sum(eq.alpha, ZERO) == 1
-        assert eq.allocation is state.alloc
-        assert build_gain_table(state, eq.alpha).all_zero
-        assert fixed_point_map(state, eq.alpha) == eq.alpha
-        assert find_cycle(build_graph(inst, eq.allocation)) is None
+        assert (eq.decomposition, details.pricing) == price_forest(inst, eq.allocation)
+        assert build_gain_table(*state, eq.alpha).all_zero
+        assert fixed_point_map(*state, eq.alpha) == eq.alpha
+        assert find_cycle(eq.allocation.graph) is None
 
         n = inst.agent_count
         for i in range(n):

@@ -32,15 +32,11 @@ from ceub.generators import (
 )
 from ceub.graphs import make_cycle_free
 from ceub.market import make_allocation, verify_equilibrium
+from ceub.pricing import price_forest
 from ceub.rationals import ZERO, rat
-from ceub.scaling import (
-    assemble_equilibrium,
-    build_gain_state,
-    solve_multiplier_lp,
-    support_with_details,
-)
+from ceub.scaling import solve_multiplier_lp, support_with_details
 
-from oracles import eager_support_with_details
+from oracles import assemble_equilibrium, eager_support_with_details
 
 FACTORS = (rat(1, 2), rat(2, 3), rat(1, 7), rat(99, 100))
 
@@ -55,8 +51,10 @@ def outcome(pipeline, inst, y):
 def failure_route(inst, y):
     """The stage at which the single-pass pipeline first fails on y."""
     try:
-        state = build_gain_state(inst, make_cycle_free(inst, y))
-        eq = assemble_equilibrium(state, solve_multiplier_lp(state)[0])
+        x = make_cycle_free(inst, y)
+        decomp, pricing = price_forest(inst, x)
+        alpha, _ = solve_multiplier_lp(inst, decomp, pricing)
+        eq = assemble_equilibrium(inst, x, decomp, pricing, alpha)
     except CeubError as exc:
         return type(exc).__name__
     report = verify_equilibrium(inst, y, eq.prices, eq.budgets)
