@@ -133,14 +133,7 @@ def cmd_verify(args) -> int:
     # exchange graph tells a dominated allocation (2) from a bad file (3).
     verdict = verify_pareto_optimal(inst, alloc)
     if not verdict.ok:
-        if verdict.unallocated_item is not None:
-            print(f"not Pareto optimal: item {verdict.unallocated_item} is not fully allocated")
-        else:
-            c = verdict.certificate
-            print(
-                f"not Pareto optimal: improving cycle through agents {list(c.agents)}"
-                f" and items {list(c.items)}, ratio {format_rational(c.improvement_ratio)}"
-            )
+        print(f"not Pareto optimal: {verdict.reason}")
         return 2
     # The verifier passed, so every item is fully allocated.
     if not report.supported:
@@ -237,6 +230,8 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
+    except SystemExit as e:  # -h has printed the help
+        return e.code
     try:
         return args.func(args)
     except (SchemaError, OSError, ValueError, DimensionMismatch, ZeroPrice) as e:

@@ -1,8 +1,13 @@
 """Bit-exact JSON document formats for instances, allocations, and results.
 
-Every rational is serialized as a lowest-terms string "num/den" (plain
-"k" for integers) and every reader rejects anything else, so a value
-survives any number of read/write cycles unchanged. Writers emit a
+Every rational is written as a lowest-terms string "num/den" (plain "k"
+for integers), so a value survives any number of read/write cycles
+unchanged. Readers take any well-formed literal, an optional minus sign
+and decimal digits with an optional "/" and positive denominator, and
+normalize it: "6/8" reads as 3/4, "007" as 7 and "-0" as 0, which the
+writers then emit as "3/4", "7" and "0". Anything else (a zero or
+negative denominator, a "+" sign, a decimal point, whitespace) is a
+SchemaError. Writers emit a
 fixed field order with two-space indentation and a trailing newline,
 byte for byte what ``json.dumps(doc, indent=2)`` writes, through a
 small direct emitter (json.dumps takes its pure-Python encoder whenever

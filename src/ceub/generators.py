@@ -28,7 +28,7 @@ import logging
 from dataclasses import dataclass
 
 from .market import Allocation, Instance, make_allocation, validate_instance
-from .maxmin import maxmin_lp
+from .maxmin import _maxmin_lp
 from .rationals import ONE, ZERO, rat
 
 log = logging.getLogger(__name__)
@@ -151,7 +151,9 @@ def _welfare_vertex(inst: Instance, seed: int) -> Allocation:
 def _perturbed_maxmin(inst: Instance, seed: int) -> Allocation:
     rng = SplitMix64(seed)
     n, m = inst.agent_count, inst.item_count
-    rows = [list(r) for r in maxmin_lp(inst).allocation.x]
+    # Mode "b" is paired with values built to leave neutral trades, so
+    # the max-min optimum is rarely unique: Bland's rule goes first.
+    rows = [list(r) for r in _maxmin_lp(inst, True).allocation.x]
     v = inst.values
     applied = 0
     for _ in range(4 * (n + m)):

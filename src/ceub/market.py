@@ -176,6 +176,19 @@ class ParetoVerdict:
     certificate: TradingCycleCertificate | None = None
     unallocated_item: int | None = None
 
+    @property
+    def reason(self) -> str | None:
+        """Why the allocation is not Pareto optimal, None if it is."""
+        if self.unallocated_item is not None:
+            return f"item {self.unallocated_item} is not fully allocated"
+        c = self.certificate
+        if c is None:
+            return None
+        return (
+            f"improving cycle through agents {list(c.agents)} and items {list(c.items)},"
+            f" ratio {format_rational(c.improvement_ratio)}"
+        )
+
 
 @dataclass(frozen=True)
 class EquilibriumReport:

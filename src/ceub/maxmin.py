@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import gcd
 from operator import mul
 
 from . import simplex
@@ -111,7 +110,17 @@ def maxmin_lp(inst: Instance) -> MaxMinResult:
     neither survives at an optimum. _settle verifies both facts on the
     solver's ints, treating a violation as a solver bug rather than
     patching it; Rationals are built only after it passes.
+
+    The simplex tries the hybrid rule first, so a unique optimum costs
+    no Bland run.
     """
+    return _maxmin_lp(inst, False)
+
+
+def _maxmin_lp(inst: Instance, bland_first: bool) -> MaxMinResult:
+    """maxmin_lp, with Bland's rule first when bland_first is set: for a
+    caller whose values leave the optimum rarely unique, where the
+    hybrid attempt would mostly be wasted."""
     n, m = inst.agent_count, inst.item_count
     lam_var = n * m
     weights, scales = inst.scaled
@@ -119,7 +128,7 @@ def maxmin_lp(inst: Instance) -> MaxMinResult:
     columns.append(list(enumerate(scales)))
     cost = [0] * lam_var + [1]
     status, pivots, basis, levels, D, cols, width = simplex._solve(
-        columns, [0] * n + [1] * m, cost, _structured(weights)
+        columns, [0] * n + [1] * m, cost, bland_first
     )
     if status != OPTIMAL:
         raise InternalVerificationFailed(f"max-min program {status}")
@@ -141,39 +150,6 @@ def maxmin_lp(inst: Instance) -> MaxMinResult:
             format_rational(lam),
         )
     return MaxMinResult(Allocation(tuple(map(tuple, rows))), lam)
-
-
-def _structured(weights) -> bool:
-    """Whether a majority of agent pairs agree on the relative worth of
-    some two items: v_ij * v_kl = v_il * v_kj for agents i, k and items
-    j, l. The scales cancel, so this is tested on the int rows of
-    Instance.scaled, as a repeated ratio weights[i][j] : weights[k][j] in
-    lowest terms.
-
-    Such values leave utility-neutral trades, so the max-min optimum is
-    rarely unique and the simplex's hybrid attempt is mostly wasted
-    there: these programs go to Bland's rule first.
-    """
-    n = len(weights)
-    pairs = n * (n - 1) // 2
-    agree = disagree = 0
-    for i in range(n):
-        for k in range(i + 1, n):
-            seen = set()
-            for a, b in zip(weights[i], weights[k]):
-                g = gcd(a, b)
-                ratio = a // g, b // g
-                if ratio in seen:
-                    agree += 1
-                    if 2 * agree > pairs:
-                        return True
-                    break
-                seen.add(ratio)
-            else:
-                disagree += 1
-                if 2 * disagree >= pairs:
-                    return False
-    return False
 
 
 def _settle(weights, scales, shares, lam, D) -> None:

@@ -162,20 +162,8 @@ def solve_multiplier_lp(inst: Instance, decomp: ForestDecomposition, pricing: Tr
 def _raise_if_not_pareto_optimal(inst: Instance, y: Allocation) -> None:
     """Raise the verifier's NotParetoOptimal for y, if it finds one."""
     verdict = verify_pareto_optimal(inst, y)
-    if verdict.ok:
-        return
-    if verdict.unallocated_item is not None:
-        raise NotParetoOptimal(
-            f"item {verdict.unallocated_item} is not fully allocated; "
-            "handing out the remainder improves someone",
-            verdict=verdict,
-        )
-    c = verdict.certificate
-    raise NotParetoOptimal(
-        f"improving trade cycle through agents {c.agents} and items {c.items} "
-        f"(ratio {format_rational(c.improvement_ratio)})",
-        verdict=verdict,
-    )
+    if not verdict.ok:
+        raise NotParetoOptimal(verdict.reason, verdict=verdict)
 
 
 def support_with_details(inst: Instance, y: Allocation) -> PipelineDetails:

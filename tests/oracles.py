@@ -1138,18 +1138,7 @@ def eager_support_with_details(inst: Instance, y: Allocation) -> PipelineDetails
     """support_pipeline, returning every intermediate for auditing."""
     verdict = verify_pareto_optimal(inst, y)
     if not verdict.ok:
-        if verdict.unallocated_item is not None:
-            raise NotParetoOptimal(
-                f"item {verdict.unallocated_item} is not fully allocated; "
-                "handing out the remainder improves someone",
-                verdict=verdict,
-            )
-        c = verdict.certificate
-        raise NotParetoOptimal(
-            f"improving trade cycle through agents {c.agents} and items {c.items} "
-            f"(ratio {c.improvement_ratio})",
-            verdict=verdict,
-        )
+        raise NotParetoOptimal(verdict.reason, verdict=verdict)
     x = make_cycle_free(inst, y)
     decomp, pricing = price_forest(inst, x)
     alpha, lam = solve_multiplier_lp(inst, decomp, pricing)

@@ -195,7 +195,7 @@ def test_price_names_a_ratio_beyond_the_str_limit(tmp_path, capsys, monkeypatch,
     monkeypatch.setenv("CEUB_LOG", level)
     assert main(["price", instance, allocation, "-o", str(tmp_path / "eq.json")]) == 2
     err = capsys.readouterr().err
-    assert f"(ratio {format_rational(A * A)})" in err
+    assert err.endswith(f", ratio {format_rational(A * A)}\n")
     assert "Logging error" not in err and "Traceback" not in err
 
 
@@ -320,6 +320,39 @@ def test_verify_prints_the_optimum_a_dominated_allocation_misses(tmp_path, capsy
         "agent 1: spend 1 of budget 1, utility 1, optimum 2 -> NOT IN DEMAND SET",
         "not Pareto optimal: improving cycle through agents [0, 1] and items [1, 0], ratio 4",
     ]
+
+
+@pytest.mark.parametrize(
+    "values, pareto, failing, reason",
+    [
+        (
+            [[2, 1], [1, 2]],
+            [[1, 0], [0, 1]],
+            [[rat(1, 2)] * 2] * 2,
+            "improving cycle through agents [0, 1] and items [0, 1], ratio 4",
+        ),
+        (
+            [[1], [99]],
+            [[rat(99, 100)], [rat(1, 100)]],
+            [[rat(1, 2)], [rat(1, 4)]],
+            "item 0 is not fully allocated",
+        ),
+    ],
+    ids=("dominated", "partly allocated"),
+)
+def test_price_and_verify_give_one_reason(tmp_path, capsys, values, pareto, failing, reason):
+    instance, allocation = tmp_path / "i.json", tmp_path / "a.json"
+    instance.write_text(dump_instance(validate_instance(values)), encoding="utf-8")
+    allocation.write_text(dump_allocation(make_allocation(pareto)), encoding="utf-8")
+    eq = str(tmp_path / "eq.json")
+    assert main(["price", str(instance), str(allocation), "-o", eq]) == 0
+    allocation.write_text(dump_allocation(make_allocation(failing)), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["price", str(instance), str(allocation), "-o", str(tmp_path / "no.json")]) == 2
+    assert main(["verify", str(instance), str(allocation), eq]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"not Pareto optimal: {reason}\n"
+    assert out.splitlines()[-1] == f"not Pareto optimal: {reason}"
 
 
 @pytest.mark.parametrize(
@@ -484,6 +517,18 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    ((["-h"], "usage: ceub [-h]"), (["price", "-h"], "usage: ceub price [-h]")),
+    ids=("ceub", "price"),
+)
+def test_help_returns_zero_with_the_help_on_stdout(argv, usage, capsys):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(usage)
+    assert err == ""
 
 
 def console_script(pyproject: str) -> str:

@@ -175,6 +175,21 @@ def test_load_rejects_a_literal_with_a_trailing_newline():
     assert "values[1][0]" in str(info.value)
 
 
+def test_readers_normalize_well_formed_literals():
+    # Readers accept any well-formed literal, not only the lowest-terms
+    # ones the writers emit; the next write is canonical.
+    inst = load_instance(replace_in_toy_instance("values", [["6/8"], ["007"]]))
+    assert inst.values == ((rat(3, 4),), (rat(7),))
+    assert json.loads(dump_instance(inst))["values"] == [["3/4"], ["7"]]
+    doc = thirds_allocation_doc()
+    doc["shares"] = [["-0", "2/6"], ["007/21", "2/6"], ["6/9", "1/3"]]
+    alloc = load_allocation(json.dumps(doc))
+    assert alloc.x == ((0, rat(1, 3)), (rat(1, 3), rat(1, 3)), (rat(2, 3), rat(1, 3)))
+    assert json.loads(dump_allocation(alloc))["shares"] == [
+        ["0", "1/3"], ["1/3", "1/3"], ["2/3", "1/3"]
+    ]
+
+
 def thirds_allocation_doc():
     # Every cell of the 3x2 allocation repeats one literal, "1/3".
     return json.loads(dump_allocation(make_allocation([[rat(1, 3)] * 2] * 3)))

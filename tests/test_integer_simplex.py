@@ -28,8 +28,8 @@ replaced as lp_maxmin (the Rational door, row_solve_lp, on
 maxmin_program, then a settle check on Rationals). With either rule
 first, the two must make the same pivots and return the same result and
 info line on every shape up to 8 by 8 and on values whose fields are
-wider than 64 bits, and the result must be the one maxmin_lp returns on
-its own choice of rule."""
+wider than 64 bits, and the result must be the one maxmin_lp returns,
+which tries the hybrid rule first."""
 
 import logging
 from contextlib import contextmanager
@@ -350,11 +350,9 @@ def test_wide_problems_need_wide_fields():
 # ------------------------------------------------- the max-min integer door
 
 
-@contextmanager
-def first_rule(rule):
-    """maxmin_lp with rule first, whatever its values."""
-    with patch.object(maxmin, "_structured", lambda weights: rule == BLAND):
-        yield
+def maxmin_lp_with(rule):
+    """maxmin_lp with rule first."""
+    return lambda inst: maxmin._maxmin_lp(inst, rule == BLAND)
 
 
 def assert_same_maxmin(inst, caplog):
@@ -362,24 +360,21 @@ def assert_same_maxmin(inst, caplog):
     Rational door (row_solve_lp) on the reference program and the
     Rational settle, with either rule first: the same pivots, result
     and info line, and the field width core_solve_lp takes on the
-    reference program. The result is the one maxmin_lp returns on its
-    own choice of rule."""
+    reference program. The result is the one maxmin_lp returns."""
     n, m = inst.agent_count, inst.item_count
     default = maxmin_lp(inst)
     for rule in RULES:
         caplog.clear()
         with (
-            first_rule(rule),
             pivot_path(simplex, "_pivot", 2) as new_path,
             caplog.at_level(logging.INFO, "ceub.maxmin"),
         ):
-            new = maxmin_lp(inst)
+            new = maxmin_lp_with(rule)(inst)
         with pivot_path(oracles, "_row_pivot", 2) as old_path:
             old, solution = lp_maxmin(inst, rule)
         assert new_path and new_path == old_path
         assert new == old == default
-        with first_rule(rule):
-            widths = field_widths(maxmin_lp, inst)
+        widths = field_widths(maxmin_lp_with(rule), inst)
         assert widths == field_widths(lambda p: core_solve_lp(p, rule), maxmin_program(inst))
         assert [r.getMessage() for r in caplog.records if r.name == "ceub.maxmin"] == [
             f"max-min LP {n}x{m}: {n + m} rows, {n * m + 1} columns,"

@@ -1,5 +1,5 @@
 """The simplex's pivot rule: the hybrid attempt, its certificate, the
-Bland re-solve, the pivot cap, and which rule maxmin_lp runs first.
+Bland re-solve, the pivot cap, and which rule each caller runs first.
 
 ceub.simplex._solve runs the hybrid rule (Dantzig's largest reduced
 cost, Bland's column after a degenerate pivot) and keeps its optimum
@@ -9,9 +9,10 @@ Bland's, so every max-min document is byte for byte the one Bland's rule
 alone writes. Here: those bytes against a forced Bland run, a program
 whose optimum is not unique, the certificate recomputed on Rationals
 from the returned basis, Beale's cycling example, the cap on pivots, and
-the choice of the first rule from the values."""
+the first rule of each caller: maxmin_lp tries the hybrid rule first,
+and mode-"b" generation, whose values are built to leave
+utility-neutral trades, asks for Bland's rule first."""
 
-from contextlib import contextmanager
 from unittest.mock import patch
 
 import pytest
@@ -19,8 +20,7 @@ import pytest
 from ceub import maxmin, simplex
 from ceub.errors import InternalVerificationFailed
 from ceub.formats import MaxminDoc, dump_maxmin
-from ceub.generators import GenConfig, gen_instance, gen_structured_instance
-from ceub.market import validate_instance
+from ceub.generators import GenConfig, gen_instance, gen_pareto_allocation, gen_structured_instance
 from ceub.maxmin import maxmin_lp
 from ceub.rationals import ZERO, Rational, rat
 
@@ -39,14 +39,8 @@ from oracles import (
 GENERATORS = (gen_instance, gen_structured_instance)
 
 
-@contextmanager
-def bland_first():
-    with patch.object(maxmin, "_structured", lambda weights: True):
-        yield
-
-
-def solve_call(inst):
-    """The arguments and the result of maxmin_lp(inst)'s one call of
+def solve_call(inst, run=maxmin_lp):
+    """The arguments and the result of run(inst)'s one call of
     simplex._solve."""
     calls = []
     solve = simplex._solve
@@ -56,20 +50,17 @@ def solve_call(inst):
         return calls[-1][1]
 
     with patch.object(simplex, "_solve", recorded):
-        maxmin_lp(inst)
+        run(inst)
     (call,) = calls
     return call
 
 
-def maxmin_bytes(inst):
-    result = maxmin_lp(inst)
+def maxmin_bytes(result):
     return dump_maxmin(MaxminDoc(result.lam, result.allocation.x, result.prices, result.budgets))
 
 
 def assert_bland_bytes(inst):
-    default = maxmin_bytes(inst)
-    with bland_first():
-        assert maxmin_bytes(inst) == default
+    assert maxmin_bytes(maxmin_lp(inst)) == maxmin_bytes(maxmin._maxmin_lp(inst, True))
 
 
 @pytest.mark.parametrize("generator", GENERATORS)
@@ -192,23 +183,28 @@ def test_a_solver_that_makes_no_progress_hits_the_pivot_cap(first):
     assert len(calls) == 12
 
 
-def test_agreeing_values_are_structured():
-    weights = lambda rows: validate_instance(rows).scaled[0]  # noqa: E731
-    assert maxmin._structured(weights([[1, 2], [2, 4]]))
-    assert not maxmin._structured(weights([[3, 1], [1, 3]]))
-    assert not maxmin._structured(weights([[1, 2]]))
-    assert not maxmin._structured(weights([[1], [2]]))
-    # Agents 0 and 1 value items 0 and 1 both at 2 : 1; agent 2 agrees
-    # with neither on any two items: one pair in three.
-    assert not maxmin._structured(weights([[1, 2, 3], [rat(1, 2), 1, 5], [7, 1, 1]]))
-    # Agent 2 now agrees with agent 0 on items 0 and 2: two in three.
-    assert maxmin._structured(weights([[1, 2, 3], [rat(1, 2), 1, 5], [2, 1, 6]]))
-
-
 @pytest.mark.parametrize(
-    "generator, first", ((gen_instance, False), (gen_structured_instance, True))
+    "generator, first", ((gen_instance, False), (gen_structured_instance, False))
 )
 def test_each_generator_takes_the_expected_first_rule(generator, first):
     args, (_, pivots, *_) = solve_call(generator(GenConfig(seed=1, agents=6, items=6)))
     assert args[3] is first
     assert (pivots[0] == 0) is first
+
+
+@pytest.mark.parametrize("generator", GENERATORS)
+def test_mode_b_generation_takes_blands_rule_first(generator):
+    inst = generator(GenConfig(seed=1, agents=6, items=6))
+    args, (_, pivots, *_) = solve_call(inst, lambda inst: gen_pareto_allocation(inst, 1, "b"))
+    assert args[3] is True
+    assert pivots[0] == 0
+
+
+def test_random_values_at_24_by_24_are_certified_under_the_hybrid_rule():
+    # Random values at n = m = 24 leave a unique optimum: the hybrid
+    # attempt certifies it in about a hundred pivots, and Bland's rule,
+    # which takes some two thousand here, never runs.
+    args, (status, pivots, *_) = solve_call(gen_instance(GenConfig(seed=0, agents=24, items=24)))
+    assert args[3] is False
+    assert status == OPTIMAL
+    assert pivots[1] == 0
