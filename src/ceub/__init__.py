@@ -49,7 +49,6 @@ from .generators import (
     DEFAULT_GRID,
     GenConfig,
     SplitMix64,
-    degrade_allocation,
     gen_instance,
     gen_pareto_allocation,
     gen_structured_instance,
@@ -79,8 +78,6 @@ from .market import (
 )
 from .maxmin import (
     MaxMinResult,
-    PreferenceOrder,
-    SplitPoint,
     check_maxmin_characterization,
     maxmin_lp,
     maxmin_two_agents,

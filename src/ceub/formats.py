@@ -21,7 +21,12 @@ path for an error message is built only when an entry fails.
 Schema names are versioned ("ceub.instance/1" and friends). Readers
 raise SchemaError naming the offending field path for any structural
 or value problem, including domain validation of the payload, so
-callers can treat SchemaError as "the file is bad" wholesale.
+callers can treat SchemaError as "the file is bad" wholesale: every
+share matrix is a valid allocation (make_allocation), alpha and lam are
+nonnegative, and a max-min file's prices are positive and its budgets
+nonnegative. An equilibrium file's own prices and budgets are left to
+verify_equilibrium, which ceub verify runs on them and whose messages
+name the price or budget out of range.
 """
 
 from __future__ import annotations
@@ -107,6 +112,21 @@ def _parse_matrix(node, path: str, rows: int, cols: int, literals: _Literals) ->
     if not isinstance(node, list) or len(node) != rows:
         raise SchemaError(f"expected {rows} rows", path)
     return tuple([_parse_vector(r, f"{path}[{i}]", cols, literals) for i, r in enumerate(node)])
+
+
+def _allocation(rows, path: str) -> Allocation:
+    try:
+        return make_allocation(rows)
+    except CeubError as e:
+        raise SchemaError(str(e), path) from None
+
+
+def _check_sign(value, path: str, positive: bool = False):
+    """value, once checked >= 0, or > 0 when positive is set."""
+    if value.numerator < 0 or (positive and value.numerator == 0):
+        sign = "positive" if positive else "nonnegative"
+        raise SchemaError(f"expected a {sign} rational, got {format_rational(value)}", path)
+    return value
 
 
 def _decode(text: str, schema: str) -> dict:
@@ -198,11 +218,7 @@ def dump_allocation(alloc: Allocation) -> str:
 def load_allocation(text: str) -> Allocation:
     doc = _decode(text, ALLOCATION_SCHEMA)
     n, m = _counts(doc)
-    shares = _parse_matrix(doc.get("shares"), "shares", n, m, _Literals())
-    try:
-        return make_allocation(shares)
-    except CeubError as e:
-        raise SchemaError(str(e), "shares") from None
+    return _allocation(_parse_matrix(doc.get("shares"), "shares", n, m, _Literals()), "shares")
 
 
 def dump_equilibrium(doc: EquilibriumDoc) -> str:
@@ -258,14 +274,15 @@ def load_equilibrium(text: str) -> EquilibriumDoc:
     if not isinstance(alpha_node, list) or not alpha_node:
         raise SchemaError("expected a nonempty list of rationals", "alpha")
     alpha = _parse_vector(alpha_node, "alpha", len(alpha_node), literals)
+    for k, a in enumerate(alpha):
+        _check_sign(a, f"alpha[{k}]")
     trees = doc.get("trees")
     if not isinstance(trees, dict):
         raise SchemaError("expected an object with of_agent/of_item", "trees")
     of_agent = _parse_tree_map(trees.get("of_agent"), "trees.of_agent", n, len(alpha))
     of_item = _parse_tree_map(trees.get("of_item"), "trees.of_item", m, len(alpha))
-    cycle_free = _parse_matrix(
-        doc.get("cycle_free_allocation"), "cycle_free_allocation", n, m, literals
-    )
+    path = "cycle_free_allocation"
+    cycle_free = _allocation(_parse_matrix(doc.get(path), path, n, m, literals), path).x
     ver = doc.get("verification")
     if not isinstance(ver, dict) or not isinstance(ver.get("agents"), list):
         raise SchemaError("expected an object with an agents list", "verification")
@@ -318,12 +335,16 @@ def load_maxmin(text: str) -> MaxminDoc:
     doc = _decode(text, MAXMIN_SCHEMA)
     n, m = _counts(doc)
     literals = _Literals()
-    lam = _parse(doc.get("lam"), "lam", literals)
-    shares = _parse_matrix(doc.get("shares"), "shares", n, m, literals)
+    lam = _check_sign(_parse(doc.get("lam"), "lam", literals), "lam")
+    shares = _allocation(_parse_matrix(doc.get("shares"), "shares", n, m, literals), "shares").x
     prices, budgets = (
         None if doc.get(key) is None else _parse_vector(doc[key], key, size, literals)
         for key, size in (("prices", m), ("budgets", n))
     )
     if (prices is None) != (budgets is None):
         raise SchemaError("prices and budgets must be present together", "budgets")
+    if prices is not None:
+        for key, vector, positive in (("prices", prices, True), ("budgets", budgets, False)):
+            for k, value in enumerate(vector):
+                _check_sign(value, f"{key}[{k}]", positive)
     return MaxminDoc(lam=lam, shares=shares, prices=prices, budgets=budgets)

@@ -16,10 +16,6 @@ different things:
   trades need value ratios that match across two agents, which random
   matrices almost never contain, so pair mode "b" with
   gen_structured_instance.
-
-degrade_allocation is the negative generator: it applies a strictly
-losing trade to a Pareto-optimal allocation, producing a dominated
-allocation whose improving cycle is exactly the reverse trade.
 """
 
 from __future__ import annotations
@@ -180,43 +176,3 @@ def _perturbed_maxmin(inst: Instance, seed: int) -> Allocation:
     log.debug("mode b applied %d neutral trades", applied)
     return make_allocation(rows)
 
-
-def degrade_allocation(inst: Instance, alloc: Allocation, seed: int):
-    """A strictly dominated allocation, or None if no losing trade exists.
-
-    Picks agents i1, i2 and items j1, j2 where i1 holds j1, i2 holds
-    j2, and the 2x2 minor is strictly unbalanced, then trades j1 for j2
-    at i2's indifference rate. i2 stays exactly whole and the unbalance
-    makes i1 strictly worse, so the result is dominated by the input
-    and the reverse trade is the improving cycle a verifier must find.
-    On a Pareto-optimal input every feasible trade at i2's rate is
-    losing or neutral for i1, so only the strict-minor check matters.
-    """
-    n, m = inst.agent_count, inst.item_count
-    v = inst.values
-    x = alloc.x
-    candidates = [
-        (i1, j1, i2, j2)
-        for i1 in range(n)
-        for i2 in range(n)
-        if i1 != i2
-        for j1 in range(m)
-        for j2 in range(m)
-        if j1 != j2
-        and x[i1][j1] > 0
-        and x[i2][j2] > 0
-        and v[i1][j2] * v[i2][j1] < v[i1][j1] * v[i2][j2]
-    ]
-    if not candidates:
-        return None
-    rng = SplitMix64(seed)
-    i1, j1, i2, j2 = rng.choice(candidates)
-    limit = min(x[i1][j1], x[i2][j2] * v[i2][j2] / v[i2][j1])
-    delta = limit * rat(1 + rng.below(3), 4)
-    repay = delta * v[i2][j1] / v[i2][j2]
-    rows = [list(r) for r in x]
-    rows[i1][j1] -= delta
-    rows[i2][j1] += delta
-    rows[i2][j2] -= repay
-    rows[i1][j2] += repay
-    return make_allocation(rows)

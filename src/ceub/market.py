@@ -125,11 +125,6 @@ class AllocationGraph:
     def edge_count(self) -> int:
         return sum(len(items) for items in self.agent_items)
 
-    def edges(self):
-        for i, items in enumerate(self.agent_items):
-            for j in items:
-                yield (i, j)
-
 
 @dataclass(frozen=True)
 class DemandReport:
@@ -156,14 +151,6 @@ class TradingCycleCertificate:
     agents: tuple
     items: tuple
     improvement_ratio: Rational
-
-    @property
-    def vertices(self) -> tuple:
-        out = []
-        for a, j in zip(self.agents, self.items):
-            out.append(("agent", a))
-            out.append(("item", j))
-        return tuple(out)
 
 
 @dataclass(frozen=True)

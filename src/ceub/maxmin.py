@@ -55,41 +55,11 @@ log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class PreferenceOrder:
-    """Relative-preference ratios with their sorted permutation.
-
-    Two agents: ratios[j] = v[1][j] / v[0][j], permutation ascending
-    (items agent 0 relatively prefers come first). Two items:
-    ratios[i] = v[i][0] / v[i][1], permutation descending (agents who
-    relatively prefer item 0 come first). Ties keep original index
-    order either way.
-    """
-
-    ratios: tuple
-    permutation: tuple
-
-
-@dataclass(frozen=True)
-class SplitPoint:
-    """The one split of a special-case solution.
-
-    Two agents: index is the item both agents share and fraction is
-    agent 0's share of it. Two items: index is the agent holding both
-    items and fraction is the pair of that agent's two shares.
-    """
-
-    index: int
-    fraction: object
-
-
-@dataclass(frozen=True)
 class MaxMinResult:
     allocation: Allocation
     lam: Rational  # the common utility value
     prices: tuple | None = None
     budgets: tuple | None = None
-    order: PreferenceOrder | None = None
-    split: SplitPoint | None = None
     probes: int | None = None  # candidate evaluations in the two-item search
 
 
@@ -178,7 +148,7 @@ def _settle(weights, scales, shares, lam, D) -> None:
             )
 
 
-def _closed_form(inst: Instance, rows, lam, prices, order, split, probes=None) -> MaxMinResult:
+def _closed_form(inst: Instance, rows, lam, prices, probes=None) -> MaxMinResult:
     """The MaxMinResult of a fast path's Rational shares rows at utility
     lam, with each budget the cost of its bundle at prices, once one
     demand check has passed them: every bundle demanded (so no share
@@ -198,7 +168,7 @@ def _closed_form(inst: Instance, rows, lam, prices, order, split, probes=None) -
                 f"agent {r.agent} at utility {format_rational(r.achieved_utility)},"
                 f" not {format_rational(lam)}"
             )
-    return MaxMinResult(alloc, lam, prices, budgets, order, split, probes)
+    return MaxMinResult(alloc, lam, prices, budgets, probes)
 
 
 def maxmin_two_agents(inst: Instance) -> MaxMinResult:
@@ -242,8 +212,9 @@ def maxmin_two_agents(inst: Instance) -> MaxMinResult:
     rows[0][js] = frac
     rows[1][js] = ONE - frac
     lam = prefix0 + frac * v0[js]
-    split = SplitPoint(index=js, fraction=frac)
-    return _closed_form(inst, rows, lam, v0, PreferenceOrder(phi, perm), split)
+    if log.isEnabledFor(logging.INFO):
+        log.info("max-min two agents 2x%d: split item %d, lambda=%s", m, js, format_rational(lam))
+    return _closed_form(inst, rows, lam, v0)
 
 
 def maxmin_two_items(inst: Instance) -> MaxMinResult:
@@ -304,8 +275,12 @@ def maxmin_two_items(inst: Instance) -> MaxMinResult:
         rows[perm[t]][1] = w * inv1[t]
     rows[perm[k]][0] = xk0
     rows[perm[k]][1] = xk1
-    split = SplitPoint(index=perm[k], fraction=(xk0, xk1))
-    return _closed_form(inst, rows, w, v[perm[k]], PreferenceOrder(rho, perm), split, probes)
+    if log.isEnabledFor(logging.INFO):
+        log.info(
+            "max-min two items %dx2: split agent %d, probes %d, lambda=%s",
+            n, perm[k], probes, format_rational(w),
+        )
+    return _closed_form(inst, rows, w, v[perm[k]], probes)
 
 
 def check_maxmin_characterization(inst: Instance, alloc: Allocation) -> bool:

@@ -110,8 +110,7 @@ def rat(value, den=None):
         return value
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass a string, int, or rational")
-    # Another exact rational type (gmpy2.mpq, say): it exposes
-    # numerator and denominator.
+    # Another exact rational type: it exposes numerator and denominator.
     num = getattr(value, "numerator", None)
     denom = getattr(value, "denominator", None)
     if num is not None and denom is not None:

@@ -1,9 +1,10 @@
 """Exact linear programming on integers: the max-min program's simplex.
 
 A primal simplex for "maximize c·x subject to A·x <= b, x >= 0" with
-b >= 0, on sparse int columns. Its one caller is ``maxmin.maxmin_lp``,
-which builds the int columns of the max-min program straight from the
-valuations and reads its own answer off the returned ints. Since b is
+b >= 0, on sparse int columns. Its one caller is ``maxmin._maxmin_lp``,
+which ``maxmin_lp`` and mode-"b" generation call; it builds the int
+columns of the max-min program straight from the valuations and reads
+its own answer off the returned ints. Since b is
 nonnegative, the origin with every slack basic is feasible, so there is
 no phase 1. Everything is exact, and optimality and unboundedness are
 decided by exact sign tests, so there are no tolerances anywhere.

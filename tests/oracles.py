@@ -38,6 +38,10 @@ bundle_utility and bundle_cost are the Rational sums over every entry
 of a bundle that the package made before each allocation carried its
 sharing graph; the package's utility, column sums and fast-path budgets
 are now exact int sums over the graph's supports (market._dot).
+degrade_allocation is the negative generator that ceub.generators once
+exported: it applies a strictly losing trade to a Pareto-optimal
+allocation, producing a dominated allocation whose improving cycle is
+exactly the reverse trade.
 fraction_max_affordable_utility is the greedy knapsack walked share by
 share: the items sorted on Rational ratios, and every purchase a share
 min(1, remaining / price) of its item, where the package's greedy buys
@@ -1168,6 +1172,47 @@ def bundle_utility(inst: Instance, bundle, i: int):
 def bundle_cost(bundle, prices):
     """What bundle costs at prices, summed on Rationals over every entry."""
     return sum((z * prices[j] for j, z in enumerate(bundle) if z != 0), ZERO)
+
+
+def degrade_allocation(inst: Instance, alloc: Allocation, seed: int):
+    """A strictly dominated allocation, or None if no losing trade exists.
+
+    Picks agents i1, i2 and items j1, j2 where i1 holds j1, i2 holds
+    j2, and the 2x2 minor is strictly unbalanced, then trades j1 for j2
+    at i2's indifference rate. i2 stays exactly whole and the unbalance
+    makes i1 strictly worse, so the result is dominated by the input
+    and the reverse trade is the improving cycle a verifier must find.
+    On a Pareto-optimal input every feasible trade at i2's rate is
+    losing or neutral for i1, so only the strict-minor check matters.
+    """
+    n, m = inst.agent_count, inst.item_count
+    v = inst.values
+    x = alloc.x
+    candidates = [
+        (i1, j1, i2, j2)
+        for i1 in range(n)
+        for i2 in range(n)
+        if i1 != i2
+        for j1 in range(m)
+        for j2 in range(m)
+        if j1 != j2
+        and x[i1][j1] > 0
+        and x[i2][j2] > 0
+        and v[i1][j2] * v[i2][j1] < v[i1][j1] * v[i2][j2]
+    ]
+    if not candidates:
+        return None
+    rng = SplitMix64(seed)
+    i1, j1, i2, j2 = rng.choice(candidates)
+    limit = min(x[i1][j1], x[i2][j2] * v[i2][j2] / v[i2][j1])
+    delta = limit * rat(1 + rng.below(3), 4)
+    repay = delta * v[i2][j1] / v[i2][j2]
+    rows = [list(r) for r in x]
+    rows[i1][j1] -= delta
+    rows[i2][j1] += delta
+    rows[i2][j2] -= repay
+    rows[i1][j2] += repay
+    return make_allocation(rows)
 
 
 def fraction_max_affordable_utility(inst: Instance, prices, budget, i: int):

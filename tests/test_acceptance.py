@@ -24,7 +24,6 @@ from ceub.formats import (
 )
 from ceub.generators import (
     GenConfig,
-    degrade_allocation,
     gen_instance,
     gen_pareto_allocation,
     gen_structured_instance,
@@ -51,6 +50,7 @@ from oracles import (
     brute_force_lp,
     build_gain_table,
     core_solve_lp,
+    degrade_allocation,
     fixed_point_map,
     fraction_solve_lp,
     make_problem,

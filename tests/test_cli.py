@@ -179,11 +179,16 @@ def test_price_then_verify_rationals_beyond_the_str_limit(tmp_path, capsys, monk
     assert err.startswith("INFO ceub.maxmin: max-min LP 2x2") and "Traceback" not in err
 
 
-def write_market(tmp_path, values, shares):
-    instance, allocation = tmp_path / "i.json", tmp_path / "a.json"
+def write_instance(tmp_path, values):
+    instance = tmp_path / "i.json"
     instance.write_text(dump_instance(validate_instance(values)), encoding="utf-8")
+    return str(instance)
+
+
+def write_market(tmp_path, values, shares):
+    allocation = tmp_path / "a.json"
     allocation.write_text(dump_allocation(make_allocation(shares)), encoding="utf-8")
-    return str(instance), str(allocation)
+    return write_instance(tmp_path, values), str(allocation)
 
 
 @pytest.mark.parametrize("level", ["quiet", "trace"])
@@ -468,6 +473,39 @@ def test_info_logging_reports_the_maxmin_lp(tmp_path, capsys, monkeypatch):
         "INFO ceub.maxmin: max-min LP 2x1: 3 rows, 3 columns,"
         " pivots 3 hybrid + 0 Bland, 7 bits, lambda=99/100\n"
     )
+
+
+@pytest.mark.parametrize(
+    "values, line",
+    [
+        ([[1], [99]], "max-min two agents 2x1: split item 0, lambda=99/100"),
+        (
+            [[5, 6], [1, 8], [4, 1], [3, 2], [6, 8], [4, 7]],
+            "max-min two items 6x2: split agent 3, probes 3, lambda=420/241",
+        ),
+    ],
+    ids=["two agents", "two items"],
+)
+def test_info_logging_reports_the_fast_paths(tmp_path, capsys, monkeypatch, values, line):
+    instance = write_instance(tmp_path, values)
+    out = str(tmp_path / "o.json")
+    assert main(["maxmin", instance, "--fast", "-o", out]) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setenv("CEUB_LOG", "info")
+    assert main(["maxmin", instance, "--fast", "-o", out]) == 0
+    assert capsys.readouterr().err == f"INFO ceub.maxmin: {line}\n"
+
+
+def test_fast_path_logs_a_lambda_beyond_the_str_limit(tmp_path, capsys, monkeypatch):
+    # Each agent takes the item it values at 10**4400 + 1, a lambda of
+    # 4401 digits.
+    big = 10**4400 + 1
+    instance = write_instance(tmp_path, [[big, 1], [1, big]])
+    monkeypatch.setenv("CEUB_LOG", "info")
+    assert main(["maxmin", instance, "--fast", "-o", str(tmp_path / "o.json")]) == 0
+    lam = format_rational(rat(big))
+    err = capsys.readouterr().err
+    assert err == f"INFO ceub.maxmin: max-min two agents 2x2: split item 0, lambda={lam}\n"
 
 
 def test_logging_is_set_per_call_on_one_handler(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Document serialization: canonical JSON, round-trips, schema errors."""
 
 import json
+import re
 
 import pytest
 
@@ -301,6 +302,61 @@ def test_equilibrium_rejects_malformed_fields(edit, path):
     with pytest.raises(SchemaError) as info:
         load_equilibrium(json.dumps(doc))
     assert info.value.path == path
+
+
+@pytest.mark.parametrize(
+    "edit, path, message",
+    [
+        (_set("cycle_free_allocation", 0, 0, value="5"), "cycle_free_allocation", "outside [0, 1]"),
+        (
+            _set("cycle_free_allocation", value=[["1"], ["1/100"]]),
+            "cycle_free_allocation",
+            "over-allocated",
+        ),
+        (_set("alpha", 0, value="-3"), "alpha[0]", "expected a nonnegative rational, got -3"),
+    ],
+    ids=["share above 1", "item over-allocated", "negative alpha"],
+)
+def test_equilibrium_rejects_values_out_of_range(edit, path, message):
+    doc = json.loads(dump_equilibrium(toy_equilibrium_doc()))
+    edit(doc)
+    with pytest.raises(SchemaError, match=r"^" + re.escape(f"{path}: ") + ".*" + re.escape(message)):
+        load_equilibrium(json.dumps(doc))
+
+
+def toy_maxmin_text():
+    fast = maxmin_two_agents(toy()[0])
+    return dump_maxmin(MaxminDoc(fast.lam, fast.allocation.x, fast.prices, fast.budgets))
+
+
+@pytest.mark.parametrize(
+    "edit, path, message",
+    [
+        (_set("shares", 0, 0, value="9"), "shares", "outside [0, 1]"),
+        (_set("shares", value=[["1"], ["1/100"]]), "shares", "over-allocated"),
+        (_set("lam", value="-2"), "lam", "expected a nonnegative rational, got -2"),
+        (_set("prices", 0, value="-1"), "prices[0]", "expected a positive rational, got -1"),
+        (_set("prices", 0, value="0"), "prices[0]", "expected a positive rational, got 0"),
+        (_set("budgets", 1, value="-1"), "budgets[1]", "expected a nonnegative rational, got -1"),
+    ],
+    ids=["share above 1", "item over-allocated", "negative lam", "negative price", "zero price",
+         "negative budget"],
+)
+def test_maxmin_rejects_values_out_of_range(edit, path, message):
+    doc = json.loads(toy_maxmin_text())
+    edit(doc)
+    with pytest.raises(SchemaError, match=r"^" + re.escape(f"{path}: ") + ".*" + re.escape(message)):
+        load_maxmin(json.dumps(doc))
+
+
+def test_range_checks_accept_zero_alpha_lam_and_budget():
+    doc = json.loads(dump_equilibrium(toy_equilibrium_doc()))
+    doc["alpha"] = ["0"]
+    assert load_equilibrium(json.dumps(doc)).alpha == (0,)
+    doc = json.loads(toy_maxmin_text())
+    doc["lam"], doc["budgets"] = "0", ["0", "0"]
+    loaded = load_maxmin(json.dumps(doc))
+    assert loaded.lam == 0 and loaded.budgets == (0, 0)
 
 
 def test_maxmin_doc_requires_prices_and_budgets_together():

@@ -6,13 +6,14 @@ from ceub.generators import (
     DEFAULT_GRID,
     GenConfig,
     SplitMix64,
-    degrade_allocation,
     gen_instance,
     gen_pareto_allocation,
     gen_structured_instance,
 )
 from ceub.market import utility, validate_instance, verify_pareto_optimal
 from ceub.rationals import rat
+
+from oracles import degrade_allocation
 
 
 def test_splitmix64_reference_stream():

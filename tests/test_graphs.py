@@ -33,11 +33,12 @@ def forest_check(graph) -> bool:
             v = parent[v]
         return v
 
-    for i, j in graph.edges():
-        a, b = find(i), find(graph.agent_count + j)
-        if a == b:
-            return False
-        parent[a] = b
+    for i, items in enumerate(graph.agent_items):
+        for j in items:
+            a, b = find(i), find(graph.agent_count + j)
+            if a == b:
+                return False
+            parent[a] = b
     return True
 
 
@@ -193,10 +194,11 @@ def _component_count(g) -> int:
             v = parent[v]
         return v
 
-    for i, j in g.edges():
-        a, b = find(i), find(g.agent_count + j)
-        if a != b:
-            parent[a] = b
+    for i, items in enumerate(g.agent_items):
+        for j in items:
+            a, b = find(i), find(g.agent_count + j)
+            if a != b:
+                parent[a] = b
     return len({find(v) for v in range(size)})
 
 

@@ -167,7 +167,7 @@ BROKEN = {
 def closed_form(values, rows, lam, prices):
     inst = validate_instance(values)
     return maxmin._closed_form(
-        inst, [list(map(rat, row)) for row in rows], rat(lam), tuple(map(rat, prices)), None, None
+        inst, [list(map(rat, row)) for row in rows], rat(lam), tuple(map(rat, prices))
     )
 
 
@@ -193,31 +193,30 @@ def test_two_agents_toy():
     assert result.allocation.x == ((rat(99, 100),), (rat(1, 100),))
     assert result.prices == (rat(1),)
     assert result.budgets == (rat(99, 100), rat(1, 100))
-    assert result.split.index == 0
-    assert result.split.fraction == rat(99, 100)
-    assert result.order.ratios == (rat(99),)
-    assert result.order.permutation == (0,)
+
+
+def split_in_phi_order(inst, x) -> bool:
+    # In the order of phi_j = v[1][j] / v[0][j] (ties by index), agent 0
+    # holds a prefix, agent 1 the suffix, and at most one item between
+    # them is shared.
+    v0, v1 = inst.values
+    order = sorted(range(inst.item_count), key=lambda j: (v1[j] / v0[j], j))
+    ours = [x[0][j] for j in order]
+    return (
+        ours == sorted(ours, reverse=True)
+        and sum(0 < z < 1 for z in ours) <= 1
+        and all(x[0][j] + x[1][j] == 1 for j in order)
+    )
 
 
 def test_two_agents_orders_by_relative_preference():
     inst = validate_instance([[4, 1, 2], [1, 2, 1]])
     result = maxmin_two_agents(inst)
-    # phi = (1/4, 2, 1/2): agent 0 keeps the low-ratio prefix
-    assert result.order.ratios == (rat(1, 4), rat(2), rat(1, 2))
-    assert result.order.permutation == (0, 2, 1)
+    # phi = (1/4, 2, 1/2): agent 0 keeps the low-ratio prefix, item 0,
+    # which it shares; agent 1 takes items 2 and 1 whole.
     assert result.lam == maxmin_lp(inst).lam
-    split = result.split
-    perm = result.order.permutation
-    pos = perm.index(split.index)
-    x = result.allocation.x
-    for k, j in enumerate(perm):
-        if k < pos:
-            assert x[0][j] == 1 and x[1][j] == 0
-        elif k > pos:
-            assert x[0][j] == 0 and x[1][j] == 1
-        else:
-            assert x[0][j] == split.fraction
-            assert x[1][j] == 1 - split.fraction
+    assert result.allocation.x == ((rat(4, 5), 0, 0), (rat(1, 5), 1, 1))
+    assert split_in_phi_order(inst, result.allocation.x)
 
 
 def test_two_agents_requires_two_agents():
@@ -237,7 +236,7 @@ def test_two_agents_agrees_with_lp_and_supports_itself():
         assert fast.lam == slow.lam
         assert utility(inst, fast.allocation, 0) == fast.lam
         assert utility(inst, fast.allocation, 1) == fast.lam
-        assert 0 <= fast.split.fraction <= 1
+        assert split_in_phi_order(inst, fast.allocation.x)
         report = verify_equilibrium(inst, fast.allocation, fast.prices, fast.budgets)
         assert report.supported
         assert report.items_fully_allocated
@@ -252,8 +251,8 @@ def test_two_items_matched_diagonal():
     result = maxmin_two_items(inst)
     assert result.lam == 3
     assert result.probes <= probe_bound(2)
-    assert result.order.ratios == (rat(3), rat(1, 3))
-    assert result.order.permutation == (0, 1)
+    # rho = (3, 1/3): agent 0 takes item 0, agent 1 item 1.
+    assert result.allocation.x == ((1, 0), (0, 1))
 
 
 def test_two_items_requires_two_items():
@@ -274,9 +273,7 @@ def test_two_items_agrees_with_lp_within_probe_budget():
         for i in range(n):
             assert utility(inst, fast.allocation, i) == fast.lam
         assert fast.probes <= probe_bound(n)
-        assert fast.split.index in range(n)
-        xk0, xk1 = fast.split.fraction
-        assert 0 <= xk0 <= 1 and 0 <= xk1 <= 1
+        assert sum(1 for row in fast.allocation.x if row[0] and row[1]) <= 1
 
 
 def test_fast_paths_check_their_prices(monkeypatch):

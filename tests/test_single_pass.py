@@ -25,7 +25,6 @@ import pytest
 from ceub.errors import CeubError
 from ceub.generators import (
     GenConfig,
-    degrade_allocation,
     gen_instance,
     gen_pareto_allocation,
     gen_structured_instance,
@@ -36,7 +35,7 @@ from ceub.pricing import price_forest
 from ceub.rationals import ZERO, rat
 from ceub.scaling import solve_multiplier_lp, support_with_details
 
-from oracles import assemble_equilibrium, eager_support_with_details
+from oracles import assemble_equilibrium, degrade_allocation, eager_support_with_details
 
 FACTORS = (rat(1, 2), rat(2, 3), rat(1, 7), rat(99, 100))
 
