@@ -53,14 +53,7 @@ from .generators import (
     gen_pareto_allocation,
     gen_structured_instance,
 )
-from .graphs import (
-    AllocationGraph,
-    CycleShift,
-    SimpleCycle,
-    eliminate_cycle,
-    find_cycle,
-    make_cycle_free,
-)
+from .graphs import AllocationGraph, find_cycle, make_cycle_free
 from .market import (
     Allocation,
     DemandReport,

@@ -1,4 +1,4 @@
-"""Cycle finding and utility-preserving cycle elimination.
+"""Utility-preserving cycle elimination: the make_cycle_free stage.
 
 G(x) has an (undirected) edge between agent i and item j exactly when
 x[i][j] > 0. Each allocation builds it once, as Allocation.graph, an
@@ -8,57 +8,31 @@ without changing a single agent's utility: every graph cycle supports
 a closed chain of share transfers that keeps each intermediate agent
 exactly whole, and Pareto optimality forces the chain to close
 neutrally for the first agent too, so pushing it until some edge hits
-zero removes an edge for free.
+zero removes an edge for free. make_cycle_free does this until no
+cycle is left; find_cycle, which it calls, returns one cycle as
+(agents, items), or None on a forest.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 from .errors import InternalVerificationFailed, NotParetoOptimal
 from .market import Allocation, AllocationGraph, Instance, _check_dims
-from .rationals import ONE, Rational, format_rational
+from .rationals import ONE, format_rational
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class SimpleCycle:
-    """Alternating cycle a_0, j_0, a_1, j_1, ..., j_{k-1} back to a_0.
+def find_cycle(g: AllocationGraph) -> tuple | None:
+    """Some simple cycle of G as (agents, items), or None if G is a forest.
 
-    Item j_t is shared by agents a_t and a_{t+1 mod k}; every hop is a
-    positive-allocation edge and all vertices are distinct, k >= 2.
-    """
-
-    agents: tuple
-    items: tuple
-
-    @property
-    def length(self) -> int:
-        return len(self.agents)
-
-
-@dataclass(frozen=True)
-class CycleShift:
-    """The transfer amounts applied along a cycle and the edge it zeroes.
-
-    epsilons[t] is the share of item j_t moved to agent a_t (and away
-    from agent a_{t+1 mod k}); consecutive amounts obey the exact
-    compensation chain eps[t+1] = eps[t] * v[a_{t+1}][j_t] / v[a_{t+1}][j_{t+1}].
-    """
-
-    epsilons: tuple
-    zeroed_edge: tuple
-
-
-def find_cycle(g: AllocationGraph) -> SimpleCycle | None:
-    """Some simple cycle of G, or None if G is a forest.
-
-    Depth-first search from the lowest-index unvisited agent vertex with
-    ascending neighbor order, so the result is deterministic; the cycle
-    is normalized to start at its lowest agent, heading toward its
-    lower-indexed neighbor item.
+    The cycle runs a_0, j_0, a_1, j_1, ..., j_{k-1} back to a_0, k >= 2,
+    with all vertices distinct: item j_t is shared by agents a_t and
+    a_{t+1 mod k}. Depth-first search from the lowest-index unvisited
+    agent vertex with ascending neighbor order, so the result is
+    deterministic; the cycle is normalized to start at its lowest agent,
+    heading toward its lower-indexed neighbor item.
     """
     n = g.agent_count
     size = n + g.item_count
@@ -98,42 +72,24 @@ def find_cycle(g: AllocationGraph) -> SimpleCycle | None:
     return None
 
 
-def _normalize(vertices, n: int) -> SimpleCycle:
+def _normalize(vertices, n: int) -> tuple:
     start = min(range(len(vertices)), key=lambda k: vertices[k] if vertices[k] < n else n)
     seq = vertices[start:] + vertices[:start]
     if seq[-1] < seq[1]:
         seq = [seq[0]] + seq[:0:-1]
-    return SimpleCycle(agents=tuple(seq[0::2]), items=tuple(v - n for v in seq[1::2]))
+    return tuple(seq[0::2]), tuple(v - n for v in seq[1::2])
 
 
-def _check_cycle(alloc: Allocation, cycle: SimpleCycle) -> None:
-    k = cycle.length
-    if k < 2 or len(cycle.items) != k:
-        raise ValueError(f"not a valid cycle: {k} agents, {len(cycle.items)} items")
-    n, m = alloc.agent_count, alloc.item_count
-    if not all(0 <= a < n for a in cycle.agents) or not all(0 <= j < m for j in cycle.items):
-        raise ValueError(f"cycle vertex out of range for {n} agents and {m} items")
-    if len(set(cycle.agents)) != k or len(set(cycle.items)) != k:
-        raise ValueError("cycle vertices are not distinct")
-    for t in range(k):
-        a_here, a_next = cycle.agents[t], cycle.agents[(t + 1) % k]
-        j = cycle.items[t]
-        if alloc.x[a_here][j] == 0 or alloc.x[a_next][j] == 0:
-            raise ValueError(f"cycle hop at item {j} is not a positive-allocation edge")
+def _eliminate_cycle(inst: Instance, alloc: Allocation, agents: tuple, items: tuple):
+    """Push the compensation chain around find_cycle's cycle until an
+    edge zeroes.
 
-
-def eliminate_cycle(inst: Instance, alloc: Allocation, cycle: SimpleCycle):
-    """Push the compensation chain around the cycle until an edge zeroes.
-
-    Returns (new allocation, CycleShift). Every agent's utility is
-    preserved exactly; if the chain cannot close neutrally the input was
-    not Pareto optimal (one traversal direction would be a strict
-    improvement) and NotParetoOptimal is raised.
+    Returns (new allocation, zeroed edge as (agent, item)). Every
+    agent's utility is preserved exactly; if the chain cannot close
+    neutrally the input was not Pareto optimal (one traversal direction
+    would be a strict improvement) and NotParetoOptimal is raised.
     """
-    _check_dims(inst, alloc)
-    _check_cycle(alloc, cycle)
-    agents, items = cycle.agents, cycle.items
-    k = cycle.length
+    k = len(agents)
     v = inst.values
 
     ratio = ONE
@@ -146,7 +102,8 @@ def eliminate_cycle(inst: Instance, alloc: Allocation, cycle: SimpleCycle):
             f"improves agent {agents[0]} while keeping all others whole"
         )
 
-    # Accumulated chain factors: eps_t = eps_0 * chain[t].
+    # Accumulated chain factors: eps_t = eps_0 * chain[t], where eps_t is
+    # the share of item j_t moved to agent a_t and away from a_{t+1 mod k}.
     chain = [ONE]
     for t in range(k - 1):
         nxt = agents[t + 1]
@@ -178,7 +135,7 @@ def eliminate_cycle(inst: Instance, alloc: Allocation, cycle: SimpleCycle):
     zeroed = (agents[(zero_at + 1) % k], items[zero_at])
     if result.x[zeroed[0]][zeroed[1]] != 0:
         raise InternalVerificationFailed("chosen edge did not reach zero")
-    return result, CycleShift(epsilons=epsilons, zeroed_edge=zeroed)
+    return result, zeroed
 
 
 def make_cycle_free(inst: Instance, alloc: Allocation) -> Allocation:
@@ -191,10 +148,13 @@ def make_cycle_free(inst: Instance, alloc: Allocation) -> Allocation:
     """
     _check_dims(inst, alloc)
     current = alloc
-    for _ in range(alloc.graph.edge_count + 1):
+    for eliminated in range(alloc.graph.edge_count + 1):
         cycle = find_cycle(current.graph)
         if cycle is None:
+            if eliminated and log.isEnabledFor(logging.INFO):
+                log.info("cycle-free: eliminated %d cycles, edges %d -> %d",
+                         eliminated, alloc.graph.edge_count, current.graph.edge_count)
             return current
-        current, shift = eliminate_cycle(inst, current, cycle)
-        log.debug("eliminated cycle %s/%s, zeroed %s", cycle.agents, cycle.items, shift.zeroed_edge)
+        current, zeroed = _eliminate_cycle(inst, current, *cycle)
+        log.debug("eliminated cycle %s/%s, zeroed %s", *cycle, zeroed)
     raise InternalVerificationFailed("cycle elimination failed to terminate")

@@ -16,10 +16,11 @@ not fully hold. The greedy knapsack (max_affordable_utility) runs on
 Rationals, only to report the optimum a failing bundle misses.
 
 Every allocation is read through its support, the sharing graph G(x),
-which Allocation.graph builds once and keeps: the verifiers, cycle
-removal and tree pricing all use it. Utilities and costs are summed
-exactly over a row's support by _dot, and column sums over an item's
-holders by Allocation.column_sum.
+which Allocation.graph builds on first use and keeps: the verifiers,
+cycle removal and tree pricing all use it. Utilities and costs are
+summed exactly over a row's support by _dot. Allocation.column_sum
+reads an item's column from the rows and builds no graph, so
+make_allocation and the loaders check a share matrix without one.
 
 Prices and budgets may be ints, literal strings or Rationals; each
 entry point coerces them once with rat.
@@ -100,13 +101,14 @@ class Allocation:
 
     def column_sum(self, j: int) -> Rational:
         """How much of item j is handed out, summed on ints over its
-        holders; a lone holder's share is returned as it is."""
+        nonzero shares, read from the rows in agent order without
+        building the graph; a lone holder's share is returned as it is."""
         if not 0 <= j < self.item_count:
             raise DimensionMismatch(f"item {j} out of range for {self.item_count} items")
-        holders = self.graph.item_agents[j]
-        if len(holders) == 1:
-            return self.x[holders[0]][j]
-        ints, unit = _over_common_denominator([self.x[i][j] for i in holders])
+        shares = [row[j] for row in self.x if row[j].numerator]
+        if len(shares) == 1:
+            return shares[0]
+        ints, unit = _over_common_denominator(shares)
         return Rational(sum(ints), unit)
 
 
@@ -215,7 +217,7 @@ def make_allocation(raw_shares) -> Allocation:
 
     A share num/den (den > 0) lies in [0, 1] iff 0 <= num <= den, so the
     box is checked on ints; the supply is checked with column_sum, which
-    builds the allocation's graph.
+    builds no graph: the first stage that reads the supports builds it.
     """
     rows = [tuple(map(rat, row)) for row in raw_shares]
     if not rows or not rows[0]:

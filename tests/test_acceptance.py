@@ -6,7 +6,6 @@ single pass line; timing bounds are asserted where the criterion states
 one.
 """
 
-import json
 import random
 import time
 
@@ -28,7 +27,7 @@ from ceub.generators import (
     gen_pareto_allocation,
     gen_structured_instance,
 )
-from ceub.graphs import eliminate_cycle, find_cycle, make_cycle_free
+from ceub.graphs import _eliminate_cycle, find_cycle, make_cycle_free
 from ceub.market import (
     is_in_demand_set,
     make_allocation,
@@ -114,7 +113,7 @@ def test_criterion_2_cycle_elimination_suite():
             cycle = find_cycle(current.graph)
             if cycle is None:
                 break
-            current, _ = eliminate_cycle(inst, current, cycle)
+            current, _ = _eliminate_cycle(inst, current, *cycle)
             now = current.graph.edge_count
             assert now < edges, "edge count must strictly decrease"
             edges = now

@@ -547,6 +547,19 @@ def test_info_logging_reports_the_multipliers(tmp_path, capsys, monkeypatch):
     assert err == "INFO ceub.scaling: multipliers: 1 trees, 0 pair constraints, lambda=1\n"
 
 
+def test_info_logging_reports_the_eliminated_cycles(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CEUB_LOG", "info")
+    half = rat(1, 2)
+    instance, allocation = tmp_path / "sq.instance.json", tmp_path / "sq.allocation.json"
+    instance.write_text(dump_instance(validate_instance([[1, 1], [1, 1]])), encoding="utf-8")
+    allocation.write_text(dump_allocation(make_allocation([[half, half], [half, half]])), encoding="utf-8")
+    assert main(["price", str(instance), str(allocation), "-o", str(tmp_path / "eq.json")]) == 0
+    assert capsys.readouterr().err == (
+        "INFO ceub.graphs: cycle-free: eliminated 1 cycles, edges 4 -> 2\n"
+        "INFO ceub.scaling: multipliers: 2 trees, 2 pair constraints, lambda=1/2\n"
+    )
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
     assert "usage error" in capsys.readouterr().err

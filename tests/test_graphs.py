@@ -5,9 +5,12 @@ import random
 import pytest
 
 from ceub.errors import InternalVerificationFailed, NotParetoOptimal
-from ceub.graphs import SimpleCycle, eliminate_cycle, find_cycle, make_cycle_free
+from ceub.graphs import _eliminate_cycle, find_cycle, make_cycle_free
 from ceub.market import Allocation, make_allocation, utility, validate_instance
 from ceub.rationals import rat
+
+from test_acceptance import corpus
+from test_demand_certificate import mode_b_pairs
 
 HALF = rat(1, 2)
 
@@ -72,8 +75,7 @@ def test_find_cycle_on_forest():
 def test_find_cycle_on_shared_square():
     _, alloc = all_halves_2x2([[1, 1], [1, 1]])
     cycle = find_cycle(alloc.graph)
-    assert cycle == SimpleCycle(agents=(0, 1), items=(0, 1))
-    assert cycle.length == 2
+    assert cycle == ((0, 1), (0, 1))
 
 
 def test_eliminate_cycle_requires_neutral_closure():
@@ -81,43 +83,102 @@ def test_eliminate_cycle_requires_neutral_closure():
     inst, alloc = all_halves_2x2([[2, 1], [1, 2]])
     cycle = find_cycle(alloc.graph)
     with pytest.raises(NotParetoOptimal):
-        eliminate_cycle(inst, alloc, cycle)
+        _eliminate_cycle(inst, alloc, *cycle)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([[2, 1], [1, 2]], "cycle closes with ratio 4; the forward traversal"),
+        ([[1, 2], [2, 1]], "cycle closes with ratio 1/4; the reverse traversal"),
+    ],
+    ids=["forward", "reverse"],
+)
+def test_make_cycle_free_names_the_improving_direction(values, message):
+    inst, alloc = all_halves_2x2(values)
+    with pytest.raises(NotParetoOptimal) as caught:
+        make_cycle_free(inst, alloc)
+    assert str(caught.value) == f"{message} strictly improves agent 0 while keeping all others whole"
 
 
 def test_eliminate_cycle_on_indifferent_square():
     inst, alloc = all_halves_2x2([[1, 1], [1, 1]])
-    cycle = find_cycle(alloc.graph)
-    after, shift = eliminate_cycle(inst, alloc, cycle)
+    after, zeroed = _eliminate_cycle(inst, alloc, *find_cycle(alloc.graph))
     assert after.x == ((rat(1), rat(0)), (rat(0), rat(1)))
     assert utility(inst, after, 0) == 1
     assert utility(inst, after, 1) == 1
-    assert shift.epsilons == (HALF, HALF)
-    assert shift.zeroed_edge == (1, 0)
-    assert after.x[shift.zeroed_edge[0]][shift.zeroed_edge[1]] == 0
+    assert zeroed == (1, 0)
+    assert after.x[zeroed[0]][zeroed[1]] == 0
 
 
-def test_eliminate_cycle_rejects_malformed_cycles():
-    inst, alloc = all_halves_2x2([[1, 1], [1, 1]])
-    with pytest.raises(ValueError):
-        eliminate_cycle(inst, alloc, SimpleCycle(agents=(0,), items=(0,)))
-    with pytest.raises(ValueError):
-        eliminate_cycle(inst, alloc, SimpleCycle(agents=(0, 0), items=(0, 1)))
-    sparse = make_allocation([[1, HALF], [0, HALF]])
-    with pytest.raises(ValueError):
-        eliminate_cycle(inst, sparse, SimpleCycle(agents=(0, 1), items=(0, 1)))
+def check_cycle_shape(alloc, cycle):
+    """What eliminating a cycle relies on: k >= 2 agents and k items,
+    all distinct and in range, and every hop a positive-share edge."""
+    agents, items = cycle
+    k = len(agents)
+    assert k >= 2 and len(items) == k
+    assert len(set(agents)) == k and len(set(items)) == k
+    assert all(type(a) is int and 0 <= a < alloc.agent_count for a in agents)
+    assert all(type(j) is int and 0 <= j < alloc.item_count for j in items)
+    for t in range(k):
+        j = items[t]
+        assert alloc.x[agents[t]][j] > 0 and alloc.x[agents[(t + 1) % k]][j] > 0
 
 
-@pytest.mark.parametrize(
-    "agents, items",
-    [((0, -1), (0, 1)), ((0, 2), (0, 1)), ((0, -2), (0, 1)), ((0, 1), (-1, 0)), ((0, 1), (0, 2))],
-    ids=["agent-1", "agent-n", "agent-aliases-0", "item-1", "item-m"],
-)
-def test_eliminate_cycle_rejects_out_of_range_vertices(agents, items):
-    # -2 is agent 0 again and -1 is agent 1 as Python indexes, so without
-    # the range check these cycles would pass the hop check.
-    inst, alloc = all_halves_2x2([[1, 1], [1, 1]])
-    with pytest.raises(ValueError, match="out of range for 2 agents and 2 items"):
-        eliminate_cycle(inst, alloc, SimpleCycle(agents=agents, items=items))
+def cycles_until_forest(inst, alloc):
+    """Every cycle find_cycle returns on the way to a forest, each checked
+    against the allocation it was found in."""
+    found = []
+    current = alloc
+    while (cycle := find_cycle(current.graph)) is not None:
+        check_cycle_shape(current, cycle)
+        found.append(cycle)
+        current, _ = _eliminate_cycle(inst, current, *cycle)
+    assert forest_check(current.graph)
+    return found
+
+
+def equal_values(x):
+    """x with equal values for every agent and item, so every cycle
+    closes neutrally and elimination runs to a forest."""
+    return validate_instance([[1] * len(x[0])] * len(x)), make_allocation(x)
+
+
+def cyclic(pairs):
+    return [(inst, y) for inst, y in pairs if find_cycle(y.graph) is not None]
+
+
+CYCLE_CASES = {
+    "corpus": (lambda: cyclic(corpus()), None),
+    "mode-b": (lambda: cyclic(mode_b_pairs()), None),
+    "all-halves-square": (
+        lambda: [equal_values([[HALF, HALF], [HALF, HALF]])],
+        [((0, 1), (0, 1))],
+    ),
+    "three-cycle": (
+        lambda: [equal_values([[HALF, 0, HALF], [HALF, HALF, 0], [0, HALF, HALF]])],
+        [((0, 1, 2), (0, 1, 2))],
+    ),
+    "two-disjoint-cycles": (
+        lambda: [equal_values([
+            [HALF, HALF, 0, 0], [HALF, HALF, 0, 0], [0, 0, HALF, HALF], [0, 0, HALF, HALF],
+        ])],
+        [((0, 1), (0, 1)), ((2, 3), (2, 3))],
+    ),
+    "cycle-behind-tree": (
+        lambda: [equal_values([[1, HALF, 0, 0], [0, HALF, HALF, HALF], [0, 0, HALF, HALF]])],
+        [((1, 2), (2, 3))],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CYCLE_CASES))
+def test_find_cycle_returns_what_elimination_needs(case):
+    pairs, expected = CYCLE_CASES[case]
+    found = [cycles_until_forest(inst, alloc) for inst, alloc in pairs()]
+    assert found and all(found)
+    if expected is not None:
+        assert found == [expected]
 
 
 def test_eliminate_cycle_checks_the_changed_shares():
@@ -126,7 +187,7 @@ def test_eliminate_cycle_checks_the_changed_shares():
     inst = validate_instance([[1, 1], [1, 1]])
     overfull = Allocation(((rat(1), rat(1)), (rat(1), rat(1))))
     with pytest.raises(InternalVerificationFailed, match=r"x\[0\]\[0\]"):
-        eliminate_cycle(inst, overfull, SimpleCycle(agents=(0, 1), items=(0, 1)))
+        _eliminate_cycle(inst, overfull, (0, 1), (0, 1))
 
 
 def test_make_cycle_free_leaves_forests_alone():
@@ -166,7 +227,7 @@ def test_make_cycle_free_properties():
             cycle = find_cycle(current.graph)
             if cycle is None:
                 break
-            current, _ = eliminate_cycle(inst, current, cycle)
+            current, _ = _eliminate_cycle(inst, current, *cycle)
             counts.append(current.graph.edge_count)
         assert all(a > b for a, b in zip(counts, counts[1:]))
 

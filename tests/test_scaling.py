@@ -386,12 +386,13 @@ def test_pipeline_details_expose_consistent_intermediates():
 
 
 def test_each_graph_is_built_once_per_call(monkeypatch):
-    # y arrives from make_allocation with its graph built; make_cycle_free
-    # builds the graph after each elimination, and price_forest, the Pareto
-    # check and the recheck of x' read the last one, G(x'), from x'.
+    # y arrives from make_allocation with no graph, so make_cycle_free
+    # builds G(y) first and then the graph after each elimination, and
+    # price_forest, the Pareto check and the recheck of x' read the last
+    # one, G(x'), from x'.
     built = []
     eliminated = []
-    real_graph, real_eliminate = market.AllocationGraph, graphs.eliminate_cycle
+    real_graph, real_eliminate = market.AllocationGraph, graphs._eliminate_cycle
 
     def counted_graph(*args):
         built.append(args)
@@ -402,7 +403,7 @@ def test_each_graph_is_built_once_per_call(monkeypatch):
         return real_eliminate(*args)
 
     monkeypatch.setattr(market, "AllocationGraph", counted_graph)
-    monkeypatch.setattr(graphs, "eliminate_cycle", counted_eliminate)
+    monkeypatch.setattr(graphs, "_eliminate_cycle", counted_eliminate)
     cycles = 0
     for seed in range(12):
         cfg = GenConfig(seed=seed, agents=2 + seed % 4, items=2 + seed % 5)
@@ -411,6 +412,6 @@ def test_each_graph_is_built_once_per_call(monkeypatch):
         built.clear()
         eliminated.clear()
         support_with_details(inst, y)
-        assert len(built) == len(eliminated)
+        assert len(built) == len(eliminated) + 1
         cycles += len(eliminated)
     assert cycles > 0

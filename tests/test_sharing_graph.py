@@ -1,16 +1,26 @@
-"""The allocation's own sharing graph and the sums read through it.
+"""The allocation's own sharing graph and the exact sums.
 
 Allocation.graph is G(x), built once per allocation on first use and
-kept on the object. utility, Allocation.column_sum and the fast paths'
-budgets sum exactly on ints over the graph's supports (market._dot and
-column_sum); tests/oracles.py keeps the Rational sums over every entry
-that they replaced, bundle_utility and bundle_cost. Both must agree,
-compared by repr so that the type agrees too, on the acceptance corpus
-and on mode-"b" markets, on y and on its cycle-free transform.
+kept on the object; make_allocation and the loaders build none, so
+loading an equilibrium or max-min document builds no graph at all.
+utility and the fast paths' budgets sum exactly on ints over the
+graph's row supports (market._dot), and Allocation.column_sum sums an
+item's nonzero shares on ints, read from the rows; tests/oracles.py
+keeps the Rational sums over every entry that they replaced,
+bundle_utility and bundle_cost. Both must agree, compared by repr so
+that the type agrees too, on the acceptance corpus and on mode-"b"
+markets, on y and on its cycle-free transform.
 """
 
 from ceub import graphs, market
-from ceub.formats import dump_allocation, load_allocation
+from ceub.cli import main
+from ceub.formats import (
+    dump_allocation,
+    dump_instance,
+    load_allocation,
+    load_equilibrium,
+    load_maxmin,
+)
 from ceub.graphs import find_cycle
 from ceub.market import (
     Allocation,
@@ -91,7 +101,7 @@ def test_a_loaded_allocation_builds_its_graph_once(monkeypatch):
     # sees the graph that loading built.
     built = []
     eliminated = []
-    real_graph, real_eliminate = market.AllocationGraph, graphs.eliminate_cycle
+    real_graph, real_eliminate = market.AllocationGraph, graphs._eliminate_cycle
 
     def counted_graph(*args):
         built.append(args)
@@ -104,7 +114,7 @@ def test_a_loaded_allocation_builds_its_graph_once(monkeypatch):
     forests = [(inst, y) for inst, y in corpus()[:40] if find_cycle(y.graph) is None]
     assert len(forests) > 10
     monkeypatch.setattr(market, "AllocationGraph", counted_graph)
-    monkeypatch.setattr(graphs, "eliminate_cycle", counted_eliminate)
+    monkeypatch.setattr(graphs, "_eliminate_cycle", counted_eliminate)
     for inst, y in forests:
         built.clear()
         loaded = load_allocation(dump_allocation(y))
@@ -117,3 +127,29 @@ def test_a_loaded_allocation_builds_its_graph_once(monkeypatch):
             assert loaded.column_sum(j) == 1
         assert len(built) == 1
     assert not eliminated
+
+
+def test_loading_results_builds_no_graph(tmp_path, monkeypatch):
+    # The loaders check each share matrix's supply with column_sum, which
+    # reads the rows, and keep only .x: no reader of theirs needs G(x).
+    instance, allocation = tmp_path / "m.instance.json", tmp_path / "m.allocation.json"
+    eq, mm = tmp_path / "m.eq.json", tmp_path / "m.mm.json"
+    texts = []
+    for inst, y in corpus()[:20]:
+        instance.write_text(dump_instance(inst), encoding="utf-8")
+        allocation.write_text(dump_allocation(y), encoding="utf-8")
+        assert main(["price", str(instance), str(allocation), "-o", str(eq)]) == 0
+        assert main(["maxmin", str(instance), "-o", str(mm)]) == 0
+        texts.append((eq.read_text(encoding="utf-8"), mm.read_text(encoding="utf-8")))
+    built = []
+    real_graph = market.AllocationGraph
+
+    def counted_graph(*args):
+        built.append(args)
+        return real_graph(*args)
+
+    monkeypatch.setattr(market, "AllocationGraph", counted_graph)
+    for eq_text, mm_text in texts:
+        load_equilibrium(eq_text)
+        load_maxmin(mm_text)
+    assert not built
